@@ -46,7 +46,7 @@ int main() {
   std::ofstream("fig2_ntv_timeline.svg") << svg;
 
   auto cut = causality::cut_at_time(rec.trace, t_line);
-  causality::restrict_to_consistent(rec.trace, session.match_report(),
+  causality::restrict_to_consistent(session.match_report(),
                                     session.rank_index(), cut);
 
   std::printf("processes               : %d\n", rec.trace.num_ranks());
@@ -54,7 +54,7 @@ int main() {
   std::printf("message lines drawn     : %zu\n", matches.matches.size());
   std::printf("stopline time           : 20%% into the run\n");
   std::printf("stopline cut consistent : %s\n",
-              causality::is_consistent(rec.trace, session.match_report(),
+              causality::is_consistent(session.match_report(),
                                        session.rank_index(), cut)
                   ? "yes"
                   : "NO");

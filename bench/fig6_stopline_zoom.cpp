@@ -80,13 +80,13 @@ int main() {
   const auto t_line = first_send_t - 1;
   auto cut = causality::cut_at_time(rec.trace, t_line);
   const auto dropped = causality::restrict_to_consistent(
-      rec.trace, session.match_report(), session.rank_index(), cut);
+      session.match_report(), session.rank_index(), cut);
   const auto line = replay::stopline_from_cut(rec.trace, cut);
   int armed = 0;
   for (const auto& t : line.thresholds) armed += t.has_value() ? 1 : 0;
   std::printf("stopline placed before first send; consistent: %s "
               "(%zu events dropped to restore consistency)\n",
-              causality::is_consistent(rec.trace, session.match_report(),
+              causality::is_consistent(session.match_report(),
                                        session.rank_index(), cut)
                   ? "yes"
                   : "NO",

@@ -77,13 +77,13 @@ int main() {
   // Consistency of the frontier cuts (what makes them usable as
   // stoplines, §4.1's closing suggestion).
   std::printf("past-frontier cut consistent  : %s\n",
-              causality::is_consistent(rec.trace, session.match_report(),
+              causality::is_consistent(session.match_report(),
                                        session.rank_index(),
                                        order.past_frontier_cut(selected))
                   ? "yes"
                   : "NO");
   std::printf("future-frontier cut consistent: %s\n",
-              causality::is_consistent(rec.trace, session.match_report(),
+              causality::is_consistent(session.match_report(),
                                        session.rank_index(),
                                        order.future_frontier_cut(selected))
                   ? "yes"

@@ -29,9 +29,9 @@
 #                wire codec's malformed-frame handling)
 #
 # Extras under metrics-on:
-#   - grep gate           (matching / vector-clock computation confined
-#                          to src/analysis; everything else consumes
-#                          Session artifacts)
+#   - grep gate           (matching / message-DAG / vector-clock
+#                          computation confined to src/analysis;
+#                          everything else consumes Session artifacts)
 #   - ctest -L obs        (the obs label must select the obs suite)
 #   - abl_pass_fusion     (asserts fused-sweep ≥2x cpu-time over the
 #                          N-scan baseline and incremental ≥10x over
@@ -100,18 +100,18 @@ cmake --build "$asan_bdir" -j "$jobs"
 
 bdir="$repo/build-verify-metrics-on"
 
-echo "=== grep gate: matching/vector clocks computed only in src/analysis ==="
+echo "=== grep gate: matching/message DAG/vector clocks computed only in src/analysis ==="
 # The AnalysisSession owns the fused sweep artifacts.  No consumer
 # outside src/analysis/ may invoke the pass-level compute entry points
 # or construct a CausalOrder directly (src/causality implements the
 # clock math the session invokes; everything else goes through
 # Session::match_report()/causal_order()/...).
-leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_traffic|compute_sweep|extend_sweep|CausalOrder\(' \
+leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_message_dag|compute_traffic|compute_sweep|extend_sweep|CausalOrder\(' \
          "$repo/src" "$repo/tools" "$repo/examples" \
          --include='*.cpp' --include='*.hpp' \
        | grep -vE "^$repo/src/(analysis|causality)/" || true)"
 if [[ -n "$leaks" ]]; then
-  echo "FAIL: matching/vector-clock computation outside src/analysis:" >&2
+  echo "FAIL: matching/message-DAG/vector-clock computation outside src/analysis:" >&2
   echo "$leaks" >&2
   exit 1
 fi

@@ -2,44 +2,30 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
-#include "obs/metrics.hpp"
-#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace tdbg::analysis {
 
 CriticalPath critical_path(const trace::Trace& trace,
-                           const trace::MatchReport& matches,
-                           const trace::RankIndex& index) {
-  obs::ScopedTimer timer(
-      obs::MetricsRegistry::global().histogram("analysis.critical_path_ns",
-                                               obs::Unit::kNanoseconds),
-      /*rank=*/-1);
+                           const trace::RankIndex& index,
+                           const trace::MessageDag& dag) {
+  constexpr std::size_t kNone = trace::MessageDag::kNone;
   CriticalPath out;
   out.per_rank.assign(static_cast<std::size_t>(trace.num_ranks()), 0);
   if (trace.empty()) return out;
 
-  std::unordered_map<std::size_t, std::size_t> send_of_recv;
-  for (const auto& m : matches.matches) {
-    send_of_recv.emplace(m.recv_index, m.send_index);
-  }
-
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<support::TimeNs> best(trace.size(), 0);  // path cost ending here
-  std::vector<support::TimeNs> eff(trace.size(), 0);   // effective durations
-  std::vector<std::size_t> pred(trace.size(), kNone);
-
-  // Per-rank program-order sequences come from the session's shared
-  // rank index — random-accessed by the worklist below.
-  const auto& seqs = index.seq;
+  const std::size_t n = trace.size();
+  std::vector<support::TimeNs> eff(n, 0);  // effective durations
+  std::vector<support::TimeNs> t_start(n, 0);
+  std::vector<support::TimeNs> t_end(n, 0);
 
   // Weights are profiler-style *self times*: an event's interval minus
   // the intervals of events directly nested inside it on the same rank
   // (a compute scope around blocking receives must not count their
   // waits as its own work), and a matched receive's time spent blocked
   // before its sender finished counts as edge latency, not rank work.
+  // The walk keeps every interval for that receive clipping below.
   for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
     struct Open {
       std::size_t index;
@@ -49,6 +35,8 @@ CriticalPath critical_path(const trace::Trace& trace,
     trace.for_each_rank_event(r, [&](std::size_t e, const trace::Event& ev) {
       const auto raw = std::max<support::TimeNs>(0, ev.t_end - ev.t_start);
       eff[e] = raw;
+      t_start[e] = ev.t_start;
+      t_end[e] = ev.t_end;
       while (!stack.empty() && stack.back().t_end <= ev.t_start) {
         stack.pop_back();
       }
@@ -61,53 +49,35 @@ CriticalPath critical_path(const trace::Trace& trace,
       }
     });
   }
-  for (const auto& m : matches.matches) {
-    const auto recv = trace.event(m.recv_index);
-    const auto send = trace.event(m.send_index);
-    eff[m.recv_index] = std::max<support::TimeNs>(
-        0, recv.t_end - std::max(recv.t_start, send.t_end));
-  }
 
-  // Process in dependency order: per-rank program order, with receives
-  // gated on their matched send (same worklist scheme as CausalOrder).
-  std::vector<std::size_t> next(static_cast<std::size_t>(trace.num_ranks()), 0);
-  std::vector<bool> done(trace.size(), false);
-  std::size_t remaining = trace.size();
-  bool progressed = true;
-  while (remaining > 0) {
-    TDBG_CHECK(progressed, "cyclic message dependency in trace");
-    progressed = false;
-    for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-      const auto& seq = seqs[static_cast<std::size_t>(r)];
-      auto& pos = next[static_cast<std::size_t>(r)];
-      while (pos < seq.size()) {
-        const std::size_t e = seq[pos];
-        const auto dep = send_of_recv.find(e);
-        if (dep != send_of_recv.end() && !done[dep->second]) break;
-
-        support::TimeNs incoming = 0;
-        std::size_t from = kNone;
-        if (pos > 0) {
-          incoming = best[seq[pos - 1]];
-          from = seq[pos - 1];
-        }
-        if (dep != send_of_recv.end() && best[dep->second] > incoming) {
-          incoming = best[dep->second];
-          from = dep->second;
-        }
-        best[e] = incoming + eff[e];
-        pred[e] = from;
-        done[e] = true;
-        --remaining;
-        ++pos;
-        progressed = true;
+  // The costliest chain ending at each event: in topological order its
+  // rank predecessor's and, for a receive, its send's are known.
+  std::vector<support::TimeNs> best(n, 0);
+  std::vector<std::size_t> pred(n, kNone);
+  dag.for_each([&](std::size_t e, std::size_t send) {
+    const auto& seq = index.seq[static_cast<std::size_t>(index.rank[e])];
+    const std::size_t pos = index.position[e];
+    support::TimeNs incoming = 0;
+    std::size_t from = kNone;
+    if (pos > 0) {
+      from = seq[pos - 1];
+      incoming = best[from];
+    }
+    if (send != kNone) {
+      eff[e] = std::max<support::TimeNs>(
+          0, t_end[e] - std::max(t_start[e], t_end[send]));
+      if (best[send] > incoming) {
+        incoming = best[send];
+        from = send;
       }
     }
-  }
+    best[e] = incoming + eff[e];
+    pred[e] = from;
+  });
 
   // Walk back from the costliest endpoint.
   std::size_t tail = 0;
-  for (std::size_t e = 1; e < trace.size(); ++e) {
+  for (std::size_t e = 1; e < n; ++e) {
     if (best[e] > best[tail]) tail = e;
   }
   out.total = best[tail];
@@ -119,11 +89,11 @@ CriticalPath critical_path(const trace::Trace& trace,
   mpi::Rank prev_rank = -1;
   out.durations.reserve(out.events.size());
   for (const auto e : out.events) {
-    const auto& ev = trace.event(e);
+    const mpi::Rank rank = index.rank[e];
     out.durations.push_back(eff[e]);
-    out.per_rank[static_cast<std::size_t>(ev.rank)] += eff[e];
-    if (prev_rank >= 0 && ev.rank != prev_rank) ++out.rank_switches;
-    prev_rank = ev.rank;
+    out.per_rank[static_cast<std::size_t>(rank)] += eff[e];
+    if (prev_rank >= 0 && rank != prev_rank) ++out.rank_switches;
+    prev_rank = rank;
   }
   return out;
 }

@@ -12,11 +12,12 @@
 /// work through the run.  Everything off the critical path had slack;
 /// speeding it up cannot shorten the run.
 ///
-/// The DAG is the happens-before covering relation (per-rank program
+/// The DAG is the session's `trace::MessageDag` (per-rank program
 /// order plus send→receive edges); node weight is the event's own
-/// duration.  The analysis reports the chain, its length, and how the
-/// chain's time divides across ranks — which rank the run was
-/// "waiting on".
+/// duration.  One forward pass over the DAG's topological order
+/// computes every event's longest incoming chain.  The analysis
+/// reports the chain, its length, and how the chain's time divides
+/// across ranks — which rank the run was "waiting on".
 
 namespace tdbg::analysis {
 
@@ -41,11 +42,11 @@ struct CriticalPath {
                                       std::size_t max_rows = 12) const;
 };
 
-/// Computes the critical path.  O(events + messages).  `matches` and
-/// `index` come from the owning `analysis::Session`
+/// Computes the critical path.  O(events + messages).  `index` and
+/// `dag` come from the owning `analysis::Session`
 /// (`Session::critical_path()` is the public entry point).
 CriticalPath critical_path(const trace::Trace& trace,
-                           const trace::MatchReport& matches,
-                           const trace::RankIndex& index);
+                           const trace::RankIndex& index,
+                           const trace::MessageDag& dag);
 
 }  // namespace tdbg::analysis

@@ -3,10 +3,9 @@
 namespace tdbg::analysis {
 
 std::vector<IntertwinedPair> find_intertwined(
-    const trace::Trace& trace, const causality::CausalOrder& order) {
-  (void)trace;
+    const trace::MatchReport& report, const causality::CausalOrder& order) {
   std::vector<IntertwinedPair> out;
-  const auto& matches = order.matches().matches;
+  const auto& matches = report.matches;
   for (std::size_t i = 0; i < matches.size(); ++i) {
     for (std::size_t j = 0; j < matches.size(); ++j) {
       if (i == j) continue;

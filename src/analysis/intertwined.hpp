@@ -29,9 +29,10 @@ struct IntertwinedPair {
   std::size_t second_recv = 0;  ///< m2's receive
 };
 
-/// Finds all intertwined message pairs.  Quadratic in the number of
-/// messages; fine for debugging-session-sized traces.
+/// Finds all intertwined pairs among `report`'s matched messages.
+/// Quadratic in the number of messages; fine for debugging-session-
+/// sized traces.
 std::vector<IntertwinedPair> find_intertwined(
-    const trace::Trace& trace, const causality::CausalOrder& order);
+    const trace::MatchReport& report, const causality::CausalOrder& order);
 
 }  // namespace tdbg::analysis

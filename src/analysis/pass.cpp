@@ -5,7 +5,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
 
@@ -256,6 +255,7 @@ std::shared_ptr<const trace::RankIndex> compute_rank_index(
   auto index = std::make_shared<trace::RankIndex>();
   index->seq.resize(sweep.rank_order.size());
   index->position.assign(sweep.num_events, 0);
+  index->rank.assign(sweep.num_events, 0);
   exec::Executor::global().parallel_for(
       sweep.rank_order.size(), "session.rank_index.build",
       [&](std::size_t r) {
@@ -263,10 +263,49 @@ std::shared_ptr<const trace::RankIndex> compute_rank_index(
         seq.reserve(sweep.rank_order[r].size());
         for (const auto& [marker, i] : sweep.rank_order[r]) {
           index->position[i] = seq.size();
+          index->rank[i] = static_cast<mpi::Rank>(r);
           seq.push_back(i);
         }
       });
   return index;
+}
+
+trace::MessageDag compute_message_dag(const trace::MatchReport& report,
+                                      const trace::RankIndex& index) {
+  constexpr std::size_t kNone = trace::MessageDag::kNone;
+  const std::size_t n = index.position.size();
+  trace::MessageDag dag;
+  // Receives first: while the schedule below runs, an event has a
+  // partner exactly when it must wait for it.
+  dag.partner.assign(n, kNone);
+  for (const auto& m : report.matches) dag.partner[m.recv_index] = m.send_index;
+
+  // Each rank's events in program order; a receive also waits for its
+  // matched send.  Round-robin over ranks until every event is placed —
+  // a recorded execution's message edges cannot form a cycle with
+  // program order, so a round without progress means a corrupt trace.
+  std::vector<bool> placed(n, false);
+  std::vector<std::size_t> next(index.seq.size(), 0);
+  dag.order.reserve(n);
+  bool progressed = true;
+  while (dag.order.size() < n) {
+    TDBG_CHECK(progressed,
+               "cyclic message dependency in trace (corrupt trace file?)");
+    progressed = false;
+    for (std::size_t r = 0; r < index.seq.size(); ++r) {
+      const auto& seq = index.seq[r];
+      for (auto& k = next[r]; k < seq.size(); ++k) {
+        const std::size_t e = seq[k];
+        const std::size_t send = dag.partner[e];
+        if (send != kNone && !placed[send]) break;
+        placed[e] = true;
+        dag.order.push_back(e);
+        progressed = true;
+      }
+    }
+  }
+  for (const auto& m : report.matches) dag.partner[m.send_index] = m.recv_index;
+  return dag;
 }
 
 namespace {
@@ -320,9 +359,6 @@ struct RecordsByIndex {
 TrafficReport compute_traffic(const SweepData& sweep,
                               const trace::MatchReport& report,
                               int num_ranks) {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global().histogram(
-                             "analysis.traffic_ns", obs::Unit::kNanoseconds),
-                         /*rank=*/-1);
   TrafficReport out;
   const auto nranks = static_cast<std::size_t>(num_ranks);
   out.ranks.resize(nranks);

@@ -116,6 +116,13 @@ trace::MatchReport compute_match_report(const SweepData& sweep);
 std::shared_ptr<const trace::RankIndex> compute_rank_index(
     const SweepData& sweep);
 
+/// The message DAG: each event's matched endpoint, and one topological
+/// order of all events.  The only place the program-order + send →
+/// receive schedule is computed; throws `tdbg::Error` when the message
+/// edges form a cycle with program order.
+trace::MessageDag compute_message_dag(const trace::MatchReport& report,
+                                      const trace::RankIndex& index);
+
 /// Traffic accounting from the sweep records and the matching — no
 /// `event()` lookups.  Byte-identical to the pre-refactor
 /// `analyze_traffic` text output.

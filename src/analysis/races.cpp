@@ -1,10 +1,8 @@
 #include "analysis/races.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "support/executor.hpp"
 
 namespace tdbg::analysis {
@@ -20,28 +18,15 @@ constexpr std::size_t kRecvChunk = 16;
 }  // namespace
 
 RaceReport find_races(const MessagePools& pools,
+                      const trace::MessageDag& dag,
                       const causality::CausalOrder& order) {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global().histogram(
-                             "analysis.races_ns", obs::Unit::kNanoseconds),
-                         /*rank=*/-1);
+  constexpr std::size_t kNone = trace::MessageDag::kNone;
   RaceReport report;
-  const auto& matches = order.matches();
-
-  std::unordered_map<std::size_t, std::size_t> send_of_recv;
-  std::unordered_map<std::size_t, std::size_t> recv_of_send;
-  for (const auto& m : matches.matches) {
-    send_of_recv.emplace(m.recv_index, m.send_index);
-    recv_of_send.emplace(m.send_index, m.recv_index);
-  }
 
   // The candidate pools arrive in display order from the fused sweep —
   // the order the pre-session per-segment gather produced.
   const auto& sends = pools.sends;
   const auto& wildcard_recvs = pools.wildcard_recvs;
-
-  std::unordered_map<std::size_t, const SweepSend*> send_records;
-  send_records.reserve(sends.size());
-  for (const auto& s : sends) send_records.emplace(s.index, &s);
 
   // Pairing: chunks of receives in parallel over read-only state; the
   // per-chunk race lists concatenate in chunk order, which is the
@@ -56,12 +41,8 @@ RaceReport find_races(const MessagePools& pools,
         for (std::size_t k = lo; k < hi; ++k) {
           const auto& recv = wildcard_recvs[k];
           const std::size_t r = recv.index;
-          const auto matched_it = send_of_recv.find(r);
-          if (matched_it == send_of_recv.end()) continue;
-          const std::size_t matched = matched_it->second;
-          const auto matched_send_it = send_records.find(matched);
-          if (matched_send_it == send_records.end()) continue;
-          const auto& matched_send = *matched_send_it->second;
+          const std::size_t matched = dag.partner[r];
+          if (matched == kNone) continue;
 
           MessageRace race;
           race.recv_index = r;
@@ -82,9 +63,8 @@ RaceReport find_races(const MessagePools& pools,
             if (order.happens_before(r, s)) continue;
             // m' cannot race if it was consumed strictly before R
             // could see it.
-            const auto consumed = recv_of_send.find(s);
-            if (consumed != recv_of_send.end() &&
-                order.happens_before(consumed->second, r)) {
+            const std::size_t consumed = dag.partner[s];
+            if (consumed != kNone && order.happens_before(consumed, r)) {
               continue;
             }
             // Non-overtaking: an earlier same-channel message than m
@@ -92,9 +72,9 @@ RaceReport find_races(const MessagePools& pools,
             // when it precedes m on the same (source, dest) channel
             // AND was consumed by the same rank earlier; a *later*
             // same-source message can still race.  Distinct sources
-            // always race.
-            if (send.rank == matched_send.rank &&
-                order.happens_before(s, matched)) {
+            // always race.  (m was matched on its receive's channel,
+            // so m's source is `recv.peer`.)
+            if (send.rank == recv.peer && order.happens_before(s, matched)) {
               continue;
             }
             race.candidates.push_back(s);

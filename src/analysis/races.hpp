@@ -43,10 +43,10 @@ struct RaceReport {
 };
 
 /// Finds races among the trace's wildcard receives.  `pools` is the
-/// fused sweep's candidate extract and `order` must be built over the
-/// same trace; both come from the owning `analysis::Session`
+/// fused sweep's candidate extract; `dag` and `order` must be built
+/// over the same trace.  All come from the owning `analysis::Session`
 /// (`Session::races()` is the public entry point).
-RaceReport find_races(const MessagePools& pools,
+RaceReport find_races(const MessagePools& pools, const trace::MessageDag& dag,
                       const causality::CausalOrder& order);
 
 }  // namespace tdbg::analysis

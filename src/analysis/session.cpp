@@ -27,6 +27,19 @@ Session::Fingerprint Session::fingerprint(const trace::Trace& t,
   return Fingerprint{e.rank, e.marker, e.t_start};
 }
 
+template <typename T>
+void Session::finish_build(Artifact<T>& slot, const char* span_name,
+                           support::TimeNs t0) {
+  slot.last_ns = support::now_ns() - t0;
+  slot.watermark = trace_.size();
+  ++slot.computes;
+  auto& registry = obs::MetricsRegistry::global();
+  registry.counter("session.artifacts.computed").add(/*rank=*/-1);
+  registry.histogram(std::string(span_name) + "_ns", obs::Unit::kNanoseconds)
+      .record(/*rank=*/-1, static_cast<std::uint64_t>(
+                               std::max<support::TimeNs>(0, slot.last_ns)));
+}
+
 template <typename T, typename Build>
 const T& Session::materialize(Artifact<T>& slot, const char* span_name,
                               Build&& build) {
@@ -40,11 +53,7 @@ const T& Session::materialize(Artifact<T>& slot, const char* span_name,
   telemetry::Span span{std::string_view(span_name)};
   const auto t0 = support::now_ns();
   slot.value.emplace(build());
-  slot.last_ns = support::now_ns() - t0;
-  slot.watermark = trace_.size();
-  ++slot.computes;
-  obs::MetricsRegistry::global().counter("session.artifacts.computed")
-      .add(/*rank=*/-1);
+  finish_build(slot, span_name, t0);
   return *slot.value;
 }
 
@@ -81,6 +90,7 @@ void Session::update(trace::Trace trace) {
   // delta segments only.
   invalidate(match_);
   invalidate(rank_index_);
+  invalidate(dag_);
   invalidate(order_);
   invalidate(traffic_);
   invalidate(races_);
@@ -100,11 +110,7 @@ void Session::update(trace::Trace trace) {
     telemetry::Span span{std::string_view("session.sweep.delta")};
     const auto t0 = support::now_ns();
     extend_sweep(*sweep_.value, trace_);
-    sweep_.last_ns = support::now_ns() - t0;
-    sweep_.watermark = trace_.size();
-    ++sweep_.computes;
-    obs::MetricsRegistry::global().counter("session.artifacts.computed")
-        .add(/*rank=*/-1);
+    finish_build(sweep_, "session.sweep", t0);
   }
 }
 
@@ -130,9 +136,15 @@ std::shared_ptr<const trace::RankIndex> Session::rank_index_ptr() {
                      [&] { return compute_rank_index(sweep()); });
 }
 
+const trace::MessageDag& Session::message_dag() {
+  return materialize(dag_, "session.message_dag", [&] {
+    return compute_message_dag(match_report(), rank_index());
+  });
+}
+
 const causality::CausalOrder& Session::causal_order() {
   return materialize(order_, "session.causal_order", [&] {
-    return causality::CausalOrder(trace_, match_report(), rank_index_ptr());
+    return causality::CausalOrder(trace_, rank_index_ptr(), message_dag());
   });
 }
 
@@ -144,7 +156,8 @@ const TrafficReport& Session::traffic() {
 
 const RaceReport& Session::races() {
   return materialize(races_, "session.races", [&] {
-    return find_races(compute_message_pools(sweep()), causal_order());
+    return find_races(compute_message_pools(sweep()), message_dag(),
+                      causal_order());
   });
 }
 
@@ -179,13 +192,13 @@ const graph::CallGraph& Session::call_graph(std::optional<mpi::Rank> rank) {
 
 const CriticalPath& Session::critical_path() {
   return materialize(critical_path_, "session.critical_path", [&] {
-    return analysis::critical_path(trace_, match_report(), rank_index());
+    return analysis::critical_path(trace_, rank_index(), message_dag());
   });
 }
 
 const std::vector<IntertwinedPair>& Session::intertwined() {
   return materialize(intertwined_, "session.intertwined", [&] {
-    return find_intertwined(trace_, causal_order());
+    return find_intertwined(match_report(), causal_order());
   });
 }
 
@@ -225,10 +238,11 @@ std::vector<PassInfo> Session::pass_states() const {
   one("rank_index", "sweep", true, rank_index_);
   one("traffic", "sweep, match", true, traffic_);
   one("comm_graph", "sweep, match, rank_index", true, comm_graph_);
-  one("causal_order", "match, rank_index", false, order_);
-  one("races", "sweep, causal_order", false, races_);
-  one("critical_path", "match, rank_index", false, critical_path_);
-  one("intertwined", "causal_order", false, intertwined_);
+  one("message_dag", "match, rank_index", false, dag_);
+  one("causal_order", "rank_index, message_dag", false, order_);
+  one("races", "sweep, message_dag, causal_order", false, races_);
+  one("critical_path", "rank_index, message_dag", false, critical_path_);
+  one("intertwined", "match, causal_order", false, intertwined_);
   one("action_graph", "trace", false, action_graph_);
   // The parameterized graph caches aggregate across their keys.
   const auto many = [&](const char* name, const char* deps,

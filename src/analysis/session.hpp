@@ -28,10 +28,10 @@
 ///
 /// A session owns one `trace::Trace` and a cache of lazily-computed,
 /// memoized **artifacts** over it — the fused sweep, the match report,
-/// the per-rank index, vector clocks, traffic, races, the graphs —
-/// each computed at most once per trace state and handed out by
-/// reference.  The debugger holds one session per trace; the CLI tools
-/// and the HTML view construct one and pull what they need.
+/// the per-rank index, the message DAG, vector clocks, traffic, races,
+/// the graphs — each computed at most once per trace state and handed
+/// out by reference.  The debugger holds one session per trace; the CLI
+/// tools and the HTML view construct one and pull what they need.
 ///
 /// **Invalidation / incremental contract.**  `update(trace)` moves the
 /// session to a new trace state.  When the new trace is a prefix-
@@ -97,6 +97,10 @@ class Session {
   /// Shared handle to the rank index (what `CausalOrder` retains).
   std::shared_ptr<const trace::RankIndex> rank_index_ptr();
 
+  /// Matched endpoints and one topological order of the message DAG
+  /// (program order + send → receive edges).
+  const trace::MessageDag& message_dag();
+
   /// Happens-before / vector clocks.
   const causality::CausalOrder& causal_order();
 
@@ -153,6 +157,12 @@ class Session {
   const T& materialize(Artifact<T>& slot, const char* span_name,
                        Build&& build);
 
+  /// Records a build of `slot` that started at `t0`: its duration goes
+  /// to the `passes` table and to the `<span_name>_ns` histogram.
+  template <typename T>
+  void finish_build(Artifact<T>& slot, const char* span_name,
+                    support::TimeNs t0);
+
   /// Drops an artifact (if materialized), counting the invalidation.
   template <typename T>
   void invalidate(Artifact<T>& slot);
@@ -179,6 +189,7 @@ class Session {
   Artifact<SweepData> sweep_;
   Artifact<trace::MatchReport> match_;
   Artifact<std::shared_ptr<const trace::RankIndex>> rank_index_;
+  Artifact<trace::MessageDag> dag_;
   Artifact<causality::CausalOrder> order_;
   Artifact<TrafficReport> traffic_;
   Artifact<RaceReport> races_;

@@ -1,84 +1,39 @@
 #include "causality/causal_order.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace tdbg::causality {
 
-CausalOrder::CausalOrder(const trace::Trace& trace, trace::MatchReport matches,
-                         std::shared_ptr<const trace::RankIndex> index)
-    : trace_(&trace), matches_(std::move(matches)), index_(std::move(index)) {
+CausalOrder::CausalOrder(const trace::Trace& trace,
+                         std::shared_ptr<const trace::RankIndex> index,
+                         const trace::MessageDag& dag)
+    : trace_(&trace),
+      index_(std::move(index)),
+      ranks_(static_cast<std::size_t>(trace.num_ranks())) {
   TDBG_CHECK(index_ != nullptr, "causal order needs a rank index");
-  obs::ScopedTimer timer(
-      obs::MetricsRegistry::global().histogram("analysis.causal_order_ns",
-                                               obs::Unit::kNanoseconds),
-      /*rank=*/-1);
-  const auto n = trace.size();
-  const auto ranks = static_cast<std::size_t>(trace.num_ranks());
-  clocks_.assign(n, {});
-
-  // Map receive event -> matched send event.
-  std::unordered_map<std::size_t, std::size_t> send_of_recv;
-  send_of_recv.reserve(matches_.matches.size());
-  for (const auto& m : matches_.matches) {
-    send_of_recv.emplace(m.recv_index, m.send_index);
-  }
-
-  // Propagate clocks in dependency order.  Each rank's events are
-  // processed in program order; a receive additionally waits for its
-  // matched send.  Round-robin over ranks until everything is done —
-  // progress is guaranteed because the trace comes from a real
-  // execution, whose message edges cannot form a cycle with program
-  // order.
-  std::vector<std::size_t> next(ranks, 0);
-  std::size_t done = 0;
-  bool progressed = true;
-  while (done < n) {
-    TDBG_CHECK(progressed,
-               "cyclic message dependency in trace (corrupt trace file?)");
-    progressed = false;
-    for (std::size_t r = 0; r < ranks; ++r) {
-      const auto& seq = seqs()[r];
-      while (next[r] < seq.size()) {
-        const std::size_t e = seq[next[r]];
-        const auto it = send_of_recv.find(e);
-        const bool needs_send = it != send_of_recv.end();
-        if (needs_send && clocks_[it->second].empty()) break;  // wait for send
-
-        std::vector<std::uint32_t> vc(ranks, 0);
-        if (next[r] > 0) vc = clocks_[seq[next[r] - 1]];
-        if (needs_send) {
-          const auto& sc = clocks_[it->second];
-          for (std::size_t q = 0; q < ranks; ++q) {
-            vc[q] = std::max(vc[q], sc[q]);
-          }
-        }
-        vc[r] = static_cast<std::uint32_t>(next[r] + 1);
-        clocks_[e] = std::move(vc);
-        ++next[r];
-        ++done;
-        progressed = true;
-      }
+  clocks_.assign(trace.size() * ranks_, 0);
+  // In topological order every event's rank predecessor, and a
+  // receive's send, already have their clocks.
+  dag.for_each([&](std::size_t e, std::size_t send) {
+    const std::size_t r = rank_of(e);
+    const std::size_t pos = position(e);
+    std::uint32_t* vc = clocks_.data() + e * ranks_;
+    if (pos > 0) std::copy_n(clock_of(seqs()[r][pos - 1]), ranks_, vc);
+    if (send != trace::MessageDag::kNone) {
+      const std::uint32_t* sc = clock_of(send);
+      for (std::size_t q = 0; q < ranks_; ++q) vc[q] = std::max(vc[q], sc[q]);
     }
-  }
-}
-
-const std::vector<std::uint32_t>& CausalOrder::clock(std::size_t e) const {
-  return clocks_.at(e);
-}
-
-std::size_t CausalOrder::position(std::size_t e) const {
-  return pos_of(e);
+    vc[r] = static_cast<std::uint32_t>(pos + 1);
+  });
 }
 
 bool CausalOrder::happens_before(std::size_t a, std::size_t b) const {
   if (a == b) return false;
-  const auto ra = static_cast<std::size_t>(trace_->event(a).rank);
   // a happens before b iff b's clock has seen a's position on a's rank.
-  return clocks_.at(b)[ra] >= pos_of(a) + 1;
+  const std::size_t ra = rank_of(a);
+  return clock_of(b)[ra] >= position(a) + 1;
 }
 
 bool CausalOrder::concurrent(std::size_t a, std::size_t b) const {
@@ -86,11 +41,10 @@ bool CausalOrder::concurrent(std::size_t a, std::size_t b) const {
 }
 
 Frontier CausalOrder::past_frontier(std::size_t e) const {
-  const auto ranks = static_cast<std::size_t>(trace_->num_ranks());
-  const auto& vc = clocks_.at(e);
-  Frontier frontier(ranks);
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
-  for (std::size_t r = 0; r < ranks; ++r) {
+  const std::uint32_t* vc = clock_of(e);
+  Frontier frontier(ranks_);
+  const std::size_t re = rank_of(e);
+  for (std::size_t r = 0; r < ranks_; ++r) {
     // Events of r in the strict past: vc[r] of them, except on e's own
     // rank where vc counts e itself.
     std::size_t count = vc[r];
@@ -102,15 +56,14 @@ Frontier CausalOrder::past_frontier(std::size_t e) const {
 }
 
 Frontier CausalOrder::future_frontier(std::size_t e) const {
-  const auto ranks = static_cast<std::size_t>(trace_->num_ranks());
-  Frontier frontier(ranks);
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
-  const auto threshold = static_cast<std::uint32_t>(pos_of(e) + 1);
-  for (std::size_t r = 0; r < ranks; ++r) {
+  Frontier frontier(ranks_);
+  const std::size_t re = rank_of(e);
+  const auto threshold = static_cast<std::uint32_t>(position(e) + 1);
+  for (std::size_t r = 0; r < ranks_; ++r) {
     const auto& seq = seqs()[r];
     if (r == re) {
-      if (pos_of(e) + 1 < seq.size()) {
-        frontier[r] = seq[pos_of(e) + 1];
+      if (position(e) + 1 < seq.size()) {
+        frontier[r] = seq[position(e) + 1];
       }
       continue;
     }
@@ -118,7 +71,7 @@ Frontier CausalOrder::future_frontier(std::size_t e) const {
     // binary-search the first event that has seen e.
     const auto it = std::partition_point(
         seq.begin(), seq.end(), [&](std::size_t f) {
-          return clocks_[f][re] < threshold;
+          return clock_of(f)[re] < threshold;
         });
     if (it != seq.end()) frontier[r] = *it;
   }
@@ -131,7 +84,7 @@ std::vector<std::size_t> CausalOrder::causal_past(std::size_t e) const {
   for (std::size_t r = 0; r < frontier.size(); ++r) {
     if (!frontier[r]) continue;
     const auto& seq = seqs()[r];
-    const auto last_pos = pos_of(*frontier[r]);
+    const auto last_pos = position(*frontier[r]);
     for (std::size_t pos = 0; pos <= last_pos; ++pos) past.push_back(seq[pos]);
   }
   std::sort(past.begin(), past.end());
@@ -144,7 +97,7 @@ std::vector<std::size_t> CausalOrder::causal_future(std::size_t e) const {
   for (std::size_t r = 0; r < frontier.size(); ++r) {
     if (!frontier[r]) continue;
     const auto& seq = seqs()[r];
-    for (std::size_t pos = pos_of(*frontier[r]); pos < seq.size();
+    for (std::size_t pos = position(*frontier[r]); pos < seq.size();
          ++pos) {
       future.push_back(seq[pos]);
     }
@@ -162,41 +115,33 @@ std::vector<std::size_t> CausalOrder::concurrency_region(std::size_t e) const {
 }
 
 Cut CausalOrder::past_frontier_cut(std::size_t e) const {
-  const auto ranks = static_cast<std::size_t>(trace_->num_ranks());
-  const auto& vc = clocks_.at(e);
+  const std::uint32_t* vc = clock_of(e);
   Cut cut;
-  cut.prefix_len.assign(ranks, 0);
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
-  for (std::size_t r = 0; r < ranks; ++r) {
-    cut.prefix_len[r] = vc[r];
-  }
-  cut.prefix_len[re] = pos_of(e);  // stop right before executing e
+  cut.prefix_len.assign(vc, vc + ranks_);
+  cut.prefix_len[rank_of(e)] = position(e);  // stop right before executing e
   return cut;
 }
 
 Cut CausalOrder::future_frontier_cut(std::size_t e) const {
-  const auto ranks = static_cast<std::size_t>(trace_->num_ranks());
   const auto frontier = future_frontier(e);
   Cut cut;
-  cut.prefix_len.assign(ranks, 0);
-  for (std::size_t r = 0; r < ranks; ++r) {
+  cut.prefix_len.assign(ranks_, 0);
+  for (std::size_t r = 0; r < ranks_; ++r) {
     // Ranks with no event in e's future run to completion.
     cut.prefix_len[r] =
-        frontier[r] ? pos_of(*frontier[r]) : seqs()[r].size();
+        frontier[r] ? position(*frontier[r]) : seqs()[r].size();
   }
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
-  cut.prefix_len[re] = pos_of(e) + 1;  // e itself has executed
+  cut.prefix_len[rank_of(e)] = position(e) + 1;  // e itself has executed
   return cut;
 }
 
-bool is_consistent(const trace::Trace& trace, const trace::MatchReport& report,
+bool is_consistent(const trace::MatchReport& report,
                    const trace::RankIndex& index, const Cut& cut) {
-  TDBG_CHECK(cut.prefix_len.size() == static_cast<std::size_t>(trace.num_ranks()),
+  TDBG_CHECK(cut.prefix_len.size() == index.seq.size(),
              "cut rank count mismatch");
-  const auto& pos = index.position;
   const auto inside = [&](std::size_t e) {
-    return pos[e] <
-           cut.prefix_len[static_cast<std::size_t>(trace.event(e).rank)];
+    return index.position[e] <
+           cut.prefix_len[static_cast<std::size_t>(index.rank[e])];
   };
   for (const auto& m : report.matches) {
     if (inside(m.recv_index) && !inside(m.send_index)) return false;
@@ -221,8 +166,7 @@ Cut cut_at_time(const trace::Trace& trace, support::TimeNs t) {
   return cut;
 }
 
-std::size_t restrict_to_consistent(const trace::Trace& trace,
-                                   const trace::MatchReport& report,
+std::size_t restrict_to_consistent(const trace::MatchReport& report,
                                    const trace::RankIndex& index, Cut& cut) {
   const auto& pos = index.position;
   std::size_t dropped = 0;
@@ -230,8 +174,8 @@ std::size_t restrict_to_consistent(const trace::Trace& trace,
   while (changed) {
     changed = false;
     for (const auto& m : report.matches) {
-      const auto rr = static_cast<std::size_t>(trace.event(m.recv_index).rank);
-      const auto sr = static_cast<std::size_t>(trace.event(m.send_index).rank);
+      const auto rr = static_cast<std::size_t>(index.rank[m.recv_index]);
+      const auto sr = static_cast<std::size_t>(index.rank[m.send_index]);
       const bool recv_inside = pos[m.recv_index] < cut.prefix_len[rr];
       const bool send_inside = pos[m.send_index] < cut.prefix_len[sr];
       if (recv_inside && !send_inside) {

@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace tdbg::graph {
@@ -100,10 +99,6 @@ void TraceGraph::add_event(const trace::Event& event) {
 
 TraceGraph TraceGraph::from_trace(const trace::Trace& trace,
                                   std::size_t merge_limit) {
-  obs::ScopedTimer timer(
-      obs::MetricsRegistry::global().histogram("analysis.graph_build_ns",
-                                               obs::Unit::kNanoseconds),
-      /*rank=*/-1);
   TraceGraph g(trace.num_ranks(), merge_limit);
   for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
     trace.for_each_rank_event(

@@ -13,7 +13,7 @@ Stopline stopline_at_time(const trace::Trace& trace,
                           const trace::MatchReport& report,
                           const trace::RankIndex& index, support::TimeNs t) {
   auto cut = causality::cut_at_time(trace, t);
-  causality::restrict_to_consistent(trace, report, index, cut);
+  causality::restrict_to_consistent(report, index, cut);
   return stopline_from_cut(trace, cut);
 }
 

@@ -44,6 +44,38 @@ struct RankIndex {
   /// `position[i]` = program-order position of display index i within
   /// its own rank (the inverse of `seq`).
   std::vector<std::size_t> position;
+  /// `rank[i]` = the rank display index i belongs to.
+  std::vector<mpi::Rank> rank;
+};
+
+/// The message DAG whose paths are happens-before: per-rank program
+/// order plus one send → receive edge per matched message.  Built once
+/// per trace state by `analysis::Session::message_dag()` from the
+/// matching and the rank index; causal order, the critical path and
+/// race detection all read it instead of rebuilding it.
+struct MessageDag {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// `partner[i]` = the matched endpoint of display index i (a send's
+  /// receive, a receive's send), or `kNone`.
+  std::vector<std::size_t> partner;
+  /// Every event once, each after its rank predecessor and, if it is a
+  /// matched receive, after its send.
+  std::vector<std::size_t> order;
+
+  /// Visits every event in `order` as `visit(e, send)`, where `send` is
+  /// the matched send when `e` is a matched receive and `kNone`
+  /// otherwise.  A receive's send comes before it in the order and a
+  /// send's receive after it, which is what tells the two apart.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    std::vector<bool> seen(partner.size(), false);
+    for (const std::size_t e : order) {
+      const std::size_t p = partner[e];
+      visit(e, p != kNone && seen[p] ? p : kNone);
+      seen[e] = true;
+    }
+  }
 };
 
 /// An immutable execution history: the merged event stream of one run.

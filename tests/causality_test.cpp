@@ -5,6 +5,7 @@
 #include "apps/strassen.hpp"
 #include "causality/causal_order.hpp"
 #include "replay/record.hpp"
+#include "support/error.hpp"
 
 namespace tdbg::causality {
 namespace {
@@ -39,6 +40,18 @@ trace::Trace chain_trace() {
   events.push_back(ev(EventKind::kRecv, 2, 1, 10, 11, 1, 0, 0));  // r12
   events.push_back(ev(EventKind::kMark, 2, 2, 12, 13));        // b1
   return trace::Trace(3, std::move(events), nullptr);
+}
+
+/// Two ranks, each of which first receives the message the other rank
+/// sends second: the message edges close a cycle with program order,
+/// which no real execution can record.
+trace::Trace cyclic_trace() {
+  std::vector<Event> events;
+  events.push_back(ev(EventKind::kRecv, 0, 1, 0, 1, 1, 0, 0));  // r10
+  events.push_back(ev(EventKind::kRecv, 1, 1, 0, 1, 0, 0, 0));  // r01
+  events.push_back(ev(EventKind::kSend, 0, 2, 2, 3, 1));        // s01
+  events.push_back(ev(EventKind::kSend, 1, 2, 2, 3, 0));        // s10
+  return trace::Trace(2, std::move(events), nullptr);
 }
 
 std::size_t index_of(const trace::Trace& t, mpi::Rank rank,
@@ -144,10 +157,10 @@ TEST(CausalOrderTest, FrontierCutsAreConsistent) {
   const auto& report = session.match_report();
   const auto& index = session.rank_index();
   for (std::size_t e = 0; e < trace.size(); ++e) {
-    EXPECT_TRUE(is_consistent(trace, report, index, order.past_frontier_cut(e)))
+    EXPECT_TRUE(is_consistent(report, index, order.past_frontier_cut(e)))
         << "past cut of " << e;
     EXPECT_TRUE(
-        is_consistent(trace, report, index, order.future_frontier_cut(e)))
+        is_consistent(report, index, order.future_frontier_cut(e)))
         << "future cut of " << e;
   }
 }
@@ -160,11 +173,23 @@ TEST(CausalOrderTest, InconsistentCutDetected) {
   const auto& index = session.rank_index();
   Cut cut;
   cut.prefix_len = {1, 1, 0};  // rank 0: only marker 1; rank 1: the recv
-  EXPECT_FALSE(is_consistent(trace, report, index, cut));
+  EXPECT_FALSE(is_consistent(report, index, cut));
   auto fixed = cut;
-  const auto dropped = restrict_to_consistent(trace, report, index, fixed);
+  const auto dropped = restrict_to_consistent(report, index, fixed);
   EXPECT_GT(dropped, 0u);
-  EXPECT_TRUE(is_consistent(trace, report, index, fixed));
+  EXPECT_TRUE(is_consistent(report, index, fixed));
+}
+
+TEST(CausalOrderTest, CyclicMessageDependencyThrows) {
+  analysis::Session session(cyclic_trace());
+  ASSERT_EQ(session.match_report().matches.size(), 2u);
+  // Every pass over the message DAG refuses the trace, and keeps
+  // refusing it: a failed build leaves nothing cached.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW((void)session.causal_order(), tdbg::Error);
+    EXPECT_THROW((void)session.critical_path(), tdbg::Error);
+    EXPECT_THROW((void)session.races(), tdbg::Error);
+  }
 }
 
 // --- Property-style sweeps over real application traces -----------------
@@ -218,10 +243,10 @@ TEST_P(FrontierPropertyTest, LuFrontiersAreSoundAndTight) {
       }
     }
     // Frontier cuts of real traces are consistent.
-    EXPECT_TRUE(is_consistent(rec.trace, session.match_report(),
+    EXPECT_TRUE(is_consistent(session.match_report(),
                               session.rank_index(),
                               order.past_frontier_cut(e)));
-    EXPECT_TRUE(is_consistent(rec.trace, session.match_report(),
+    EXPECT_TRUE(is_consistent(session.match_report(),
                               session.rank_index(),
                               order.future_frontier_cut(e)));
   }
@@ -244,8 +269,8 @@ TEST(CausalOrderTest, StrassenEveryVerticalCutConsistentAfterRestriction) {
     const auto t =
         rec.trace.t_min() + (rec.trace.t_max() - rec.trace.t_min()) * i / 50;
     auto cut = cut_at_time(rec.trace, t);
-    restrict_to_consistent(rec.trace, report, index, cut);
-    EXPECT_TRUE(is_consistent(rec.trace, report, index, cut)) << "i=" << i;
+    restrict_to_consistent(report, index, cut);
+    EXPECT_TRUE(is_consistent(report, index, cut)) << "i=" << i;
   }
 }
 

@@ -8,9 +8,10 @@
 //     segment and the column (hand-corrupted regression),
 //   * zone-map skipping and column pruning advance the trace.decode.*
 //     counters without changing any query result,
-//   * analysis artifacts are byte-identical on the storm and
-//     deadlock_ring workloads across both backends, all three binary
-//     versions, at 1 and 8 threads.
+//   * analysis artifacts (matching, traffic, comm graph, races,
+//     critical path, past frontiers) are byte-identical on the storm
+//     and deadlock_ring workloads across both backends, all three
+//     binary versions, at 1 and 8 threads.
 
 #include <gtest/gtest.h>
 
@@ -484,6 +485,9 @@ struct Artifacts {
   std::string matches;
   std::string traffic;
   std::string graph;
+  std::string races;
+  std::string critical_path;
+  std::string past_frontiers;  ///< every event's
 };
 
 Artifacts artifacts_of(const trace::Trace& t, std::size_t threads) {
@@ -505,6 +509,26 @@ Artifacts artifacts_of(const trace::Trace& t, std::size_t threads) {
   a.matches = std::move(m);
   a.traffic = session.traffic().to_string();
   a.graph = graph::to_dot(session.comm_graph().to_export());
+  for (const auto& race : session.races().races) {
+    a.races += std::to_string(race.recv_index) + "<" +
+               std::to_string(race.matched_send) + ":";
+    for (const auto c : race.candidates) a.races += std::to_string(c) + ",";
+    a.races += ";";
+  }
+  const auto& path = session.critical_path();
+  a.critical_path = std::to_string(path.total) + " " +
+                    std::to_string(path.rank_switches) + ":";
+  for (std::size_t i = 0; i < path.events.size(); ++i) {
+    a.critical_path += std::to_string(path.events[i]) + "=" +
+                       std::to_string(path.durations[i]) + ";";
+  }
+  const auto& order = session.causal_order();
+  for (std::size_t e = 0; e < t.size(); ++e) {
+    for (const auto& f : order.past_frontier(e)) {
+      a.past_frontiers += f ? std::to_string(*f) + "," : "-,";
+    }
+    a.past_frontiers += ";";
+  }
   return a;
 }
 
@@ -526,6 +550,9 @@ void expect_identical_artifacts_across_everything(const trace::Trace& rec) {
         EXPECT_EQ(baseline.matches, got.matches) << tag;
         EXPECT_EQ(baseline.traffic, got.traffic) << tag;
         EXPECT_EQ(baseline.graph, got.graph) << tag;
+        EXPECT_EQ(baseline.races, got.races) << tag;
+        EXPECT_EQ(baseline.critical_path, got.critical_path) << tag;
+        EXPECT_EQ(baseline.past_frontiers, got.past_frontiers) << tag;
       }
     }
   }

@@ -169,7 +169,7 @@ TEST(EdgeCausality, EmptyAndSingleEventTraces) {
   analysis::Session empty_session(empty);
   (void)empty_session.causal_order();
   EXPECT_TRUE(causality::is_consistent(
-      empty, empty_session.match_report(), empty_session.rank_index(),
+      empty_session.match_report(), empty_session.rank_index(),
       causality::cut_at_time(empty, 100)));
 
   std::vector<trace::Event> one(1);

@@ -157,11 +157,12 @@ TEST_P(CausalityInvariants, MessagesInduceHappensBefore) {
   ASSERT_TRUE(rec.result.completed);
   analysis::Session session(rec.trace);
   const auto& order = session.causal_order();
-  for (const auto& m : order.matches().matches) {
+  const auto& report = session.match_report();
+  for (const auto& m : report.matches) {
     EXPECT_TRUE(order.happens_before(m.send_index, m.recv_index));
   }
-  EXPECT_TRUE(order.matches().unmatched_sends.empty());
-  EXPECT_TRUE(order.matches().unmatched_recvs.empty());
+  EXPECT_TRUE(report.unmatched_sends.empty());
+  EXPECT_TRUE(report.unmatched_recvs.empty());
 }
 
 TEST_P(CausalityInvariants, ProgramOrderIsRespected) {

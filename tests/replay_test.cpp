@@ -186,8 +186,8 @@ TEST(Stopline, VerticalCutsAreConsistent) {
   for (int i = 0; i <= 20; ++i) {
     const auto t = t0 + (t1 - t0) * i / 20;
     auto cut = causality::cut_at_time(rec.trace, t);
-    causality::restrict_to_consistent(rec.trace, report, index, cut);
-    EXPECT_TRUE(causality::is_consistent(rec.trace, report, index, cut))
+    causality::restrict_to_consistent(report, index, cut);
+    EXPECT_TRUE(causality::is_consistent(report, index, cut))
         << "i=" << i;
   }
 }

@@ -4,7 +4,10 @@
 //   * update() invalidation — stale artifacts refresh after growth,
 //   * incremental recompute byte-identical to a from-scratch session,
 //   * fused-sweep results equal the legacy per-pass algorithms on the
-//     storm and deadlock_ring workloads at 1 and 8 threads.
+//     storm, deadlock_ring and synthetic-chain workloads at 1 and 8
+//     threads, and happens-before and the critical-path length equal
+//     independent oracles (BFS transitive closure, Kahn-order longest
+//     path).
 
 #include <gtest/gtest.h>
 
@@ -239,6 +242,103 @@ std::vector<LegacyRankTotals> legacy_rank_totals(
   return totals;
 }
 
+// --- independent oracles ---------------------------------------------------
+
+/// Successor lists of the message DAG, from the trace facade's legacy
+/// per-rank builder plus the match edges.
+std::vector<std::vector<std::size_t>> dag_successors(
+    const trace::Trace& trace, const trace::MatchReport& report) {
+  std::vector<std::vector<std::size_t>> succ(trace.size());
+  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
+    const auto& seq = trace.rank_events(r);
+    for (std::size_t k = 1; k < seq.size(); ++k) {
+      succ[seq[k - 1]].push_back(seq[k]);
+    }
+  }
+  for (const auto& m : report.matches) {
+    succ[m.send_index].push_back(m.recv_index);
+  }
+  return succ;
+}
+
+/// Happens-before as a transitive closure: `reach[a][b]` iff a BFS from
+/// `a` reaches `b`.
+std::vector<std::vector<bool>> bfs_closure(
+    const std::vector<std::vector<std::size_t>>& succ) {
+  const std::size_t n = succ.size();
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t a = 0; a < n; ++a) {
+    std::vector<std::size_t> queue = succ[a];
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t x = queue[head];
+      if (reach[a][x]) continue;
+      reach[a][x] = true;
+      queue.insert(queue.end(), succ[x].begin(), succ[x].end());
+    }
+  }
+  return reach;
+}
+
+/// The critical-path length by a longest-path DP over a Kahn order.
+/// Weights follow the documented rule: an event's self time (its
+/// interval minus those of events directly nested in it on its rank),
+/// and for a matched receive only the time after its send finished.
+support::TimeNs kahn_longest_path(const trace::Trace& trace,
+                                  const trace::MatchReport& report) {
+  const std::size_t n = trace.size();
+  std::vector<support::TimeNs> weight(n, 0);
+  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
+    std::vector<std::size_t> open;  // enclosing intervals, innermost last
+    for (const std::size_t i : trace.rank_events(r)) {
+      const auto e = trace.event(i);
+      const auto raw = std::max<support::TimeNs>(0, e.t_end - e.t_start);
+      weight[i] = raw;
+      while (!open.empty() && trace.event(open.back()).t_end <= e.t_start) {
+        open.pop_back();
+      }
+      if (open.empty()) {
+        open.push_back(i);
+      } else if (e.t_end <= trace.event(open.back()).t_end) {
+        weight[open.back()] =
+            std::max<support::TimeNs>(0, weight[open.back()] - raw);
+        open.push_back(i);
+      }
+    }
+  }
+  for (const auto& m : report.matches) {
+    const auto recv = trace.event(m.recv_index);
+    const auto send = trace.event(m.send_index);
+    weight[m.recv_index] = std::max<support::TimeNs>(
+        0, recv.t_end - std::max(recv.t_start, send.t_end));
+  }
+
+  const auto succ = dag_successors(trace, report);
+  std::vector<std::size_t> indegree(n, 0);
+  for (const auto& out : succ) {
+    for (const std::size_t s : out) ++indegree[s];
+  }
+  std::vector<std::size_t> ready;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (indegree[v] == 0) ready.push_back(v);
+  }
+  std::vector<support::TimeNs> incoming(n, 0);
+  support::TimeNs longest = 0;
+  std::size_t visited = 0;
+  while (!ready.empty()) {
+    const std::size_t v = ready.back();
+    ready.pop_back();
+    ++visited;
+    const support::TimeNs done = incoming[v] + weight[v];
+    longest = std::max(longest, done);
+    for (const std::size_t s : succ[v]) {
+      incoming[s] = std::max(incoming[s], done);
+      if (--indegree[s] == 0) ready.push_back(s);
+    }
+  }
+  EXPECT_EQ(visited, n) << "oracle found a cycle";
+  return longest;
+}
+
 /// Full fused-vs-legacy comparison for one trace at one thread count.
 void expect_fused_equals_legacy(const trace::Trace& trace,
                                 std::size_t threads) {
@@ -269,11 +369,17 @@ void expect_fused_equals_legacy(const trace::Trace& trace,
     EXPECT_EQ(traffic.ranks[r].bytes_in, totals[r].bytes_in) << "rank " << r;
   }
 
-  // Causality rides the shared artifacts: every match is ordered.
+  // Happens-before on every pair == the BFS transitive closure.
   const auto& order = session.causal_order();
-  for (const auto& m : report.matches) {
-    EXPECT_TRUE(order.happens_before(m.send_index, m.recv_index));
+  const auto reach = bfs_closure(dag_successors(trace, report));
+  for (std::size_t a = 0; a < trace.size(); ++a) {
+    for (std::size_t b = 0; b < trace.size(); ++b) {
+      ASSERT_EQ(order.happens_before(a, b), reach[a][b]) << a << " -> " << b;
+    }
   }
+
+  // Critical-path length == the Kahn-order longest-path DP.
+  EXPECT_EQ(session.critical_path().total, kahn_longest_path(trace, report));
 }
 
 void expect_sessions_identical(analysis::Session& a, analysis::Session& b) {
@@ -291,6 +397,13 @@ void expect_sessions_identical(analysis::Session& a, analysis::Session& b) {
     EXPECT_EQ(ra[i].matched_send, rb[i].matched_send) << "at " << i;
     EXPECT_EQ(ra[i].candidates, rb[i].candidates) << "at " << i;
   }
+  const auto& pa = a.critical_path();
+  const auto& pb = b.critical_path();
+  EXPECT_EQ(pa.events, pb.events);
+  EXPECT_EQ(pa.durations, pb.durations);
+  EXPECT_EQ(pa.total, pb.total);
+  EXPECT_EQ(pa.per_rank, pb.per_rank);
+  EXPECT_EQ(pa.rank_switches, pb.rank_switches);
   // Sampled happens-before grid over both causal orders.
   const auto& oa = a.causal_order();
   const auto& ob = b.causal_order();
@@ -410,6 +523,17 @@ TEST(SessionTest, FusedEqualsLegacyOnStormAt1And8Threads) {
   ASSERT_TRUE(rec.result.completed) << rec.result.abort_detail;
   expect_fused_equals_legacy(rec.trace, 1);
   expect_fused_equals_legacy(rec.trace, 8);
+}
+
+TEST(SessionTest, FusedEqualsLegacyOnSyntheticChainsAt1And8Threads) {
+  // Sends and receives interleave on every rank, so causal chains run
+  // through several ranks — which neither the send-then-receive storm
+  // nor the held ring produces.
+  constexpr int kRanks = 6;
+  const trace::Trace trace(kRanks, synth_events(1200, kRanks, /*seed=*/99),
+                           nullptr);
+  expect_fused_equals_legacy(trace, 1);
+  expect_fused_equals_legacy(trace, 8);
 }
 
 TEST(SessionTest, FusedEqualsLegacyOnDeadlockRingAt1And8Threads) {

@@ -101,7 +101,7 @@ TEST_P(StormTest, CompletesAndMatchesFully) {
 
   // Causality is well-formed even on dense wildcard traffic.
   const auto& order = session.causal_order();
-  for (const auto& m : order.matches().matches) {
+  for (const auto& m : report.matches) {
     EXPECT_TRUE(order.happens_before(m.send_index, m.recv_index));
   }
 }
