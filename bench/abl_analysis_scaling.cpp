@@ -11,11 +11,9 @@
 #include <cstdio>
 
 #include "apps/ring.hpp"
-#include "analysis/pass.hpp"
 #include "analysis/session.hpp"
 #include "bench_util.hpp"
 #include "causality/causal_order.hpp"
-#include "graph/trace_graph.hpp"
 #include "replay/record.hpp"
 
 int main() {
@@ -48,8 +46,8 @@ int main() {
     });
     std::size_t arcs = 0;
     const double graph_s = bench::time_median_s(3, [&] {
-      const auto g = graph::TraceGraph::from_trace(rec.trace, 16);
-      arcs = g.arc_count();
+      analysis::Session fresh(rec.trace);
+      arcs = fresh.trace_graph(16).arc_count();
     });
 
     analysis::Session session(rec.trace);

@@ -13,9 +13,9 @@
 
 #include <cstdio>
 
+#include "analysis/session.hpp"
 #include "apps/ring.hpp"
 #include "bench_util.hpp"
-#include "graph/trace_graph.hpp"
 #include "replay/record.hpp"
 
 int main() {
@@ -30,8 +30,9 @@ int main() {
     const auto rec = replay::record(4, [opts](mpi::Comm& comm) {
       apps::ring::rank_body(comm, opts);
     });
+    analysis::Session session(rec.trace);
     for (const std::size_t limit : {4u, 16u, 64u}) {
-      const auto g = graph::TraceGraph::from_trace(rec.trace, limit);
+      const auto& g = session.trace_graph(limit);
       std::printf("%-10d %-12llu %-12zu %-12zu %-14.4f\n", laps,
                   static_cast<unsigned long long>(g.operation_count()), limit,
                   g.arc_count(),
@@ -47,7 +48,8 @@ int main() {
   const auto rec = replay::record(4, [opts](mpi::Comm& comm) {
     apps::ring::rank_body(comm, opts);
   });
-  const auto g = graph::TraceGraph::from_trace(rec.trace, 4);
+  analysis::Session session(rec.trace);
+  const auto& g = session.trace_graph(4);
   std::size_t merged = 0, recovered = 0;
   const double rescan_s = bench::time_median_s(3, [&] {
     merged = 0;

@@ -45,7 +45,8 @@ int main() {
   const auto svg = diagram.to_svg(overlay);
   std::ofstream("fig2_ntv_timeline.svg") << svg;
 
-  auto cut = causality::cut_at_time(rec.trace, t_line);
+  auto cut = causality::cut_at_time(session.rank_index(),
+                                    session.event_columns(), t_line);
   causality::restrict_to_consistent(session.match_report(),
                                     session.rank_index(), cut);
 

@@ -78,7 +78,8 @@ int main() {
     }
   });
   const auto t_line = first_send_t - 1;
-  auto cut = causality::cut_at_time(rec.trace, t_line);
+  auto cut = causality::cut_at_time(session.rank_index(),
+                                    session.event_columns(), t_line);
   const auto dropped = causality::restrict_to_consistent(
       session.match_report(), session.rank_index(), cut);
   const auto line = replay::stopline_from_cut(rec.trace, cut);

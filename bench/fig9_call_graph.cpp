@@ -11,10 +11,9 @@
 #include <cstdio>
 #include <fstream>
 
+#include "analysis/session.hpp"
 #include "apps/strassen.hpp"
 #include "bench_util.hpp"
-#include "graph/call_graph.hpp"
-#include "graph/trace_graph.hpp"
 #include "replay/record.hpp"
 
 int main() {
@@ -31,8 +30,9 @@ int main() {
     return 1;
   }
 
-  const auto tg = graph::TraceGraph::from_trace(rec.trace, /*merge_limit=*/8);
-  const auto cg = graph::CallGraph::project(tg, std::nullopt);
+  analysis::Session session(rec.trace);
+  const auto& tg = session.trace_graph(/*merge_limit=*/8);
+  const auto& cg = session.call_graph();
   std::printf("functions in graph : %zu\n", cg.function_count());
   std::printf("caller->callee edges: %zu\n", cg.edges().size());
   std::uint64_t total_calls = 0;

@@ -31,7 +31,10 @@
 # Extras under metrics-on:
 #   - grep gate           (matching / message-DAG / vector-clock
 #                          computation confined to src/analysis;
-#                          everything else consumes Session artifacts)
+#                          everything else consumes Session artifacts;
+#                          no per-rank store walk in src/analysis,
+#                          src/causality or src/graph except the
+#                          trace graph's zoom-back rescan)
 #   - ctest -L obs        (the obs label must select the obs suite)
 #   - abl_pass_fusion     (asserts fused-sweep ≥2x cpu-time over the
 #                          N-scan baseline and incremental ≥10x over
@@ -113,6 +116,21 @@ leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_message_dag|
 if [[ -n "$leaks" ]]; then
   echo "FAIL: matching/message-DAG/vector-clock computation outside src/analysis:" >&2
   echo "$leaks" >&2
+  exit 1
+fi
+# The passes read the session's rank index and event columns; none of
+# them sends a rank through the store's segment cache.  The one
+# exception is TraceGraph::expand_arc, the zoom-back rescan of one rank.
+walks="$(find "$repo/src/analysis" "$repo/src/causality" "$repo/src/graph" \
+           -name '*.cpp' -o -name '*.hpp' | sort | xargs awk '
+         FNR == 1 { fn = "" }
+         /^[A-Za-z].*\(/ { fn = $0 }
+         /for_each_rank_event/ && fn !~ /TraceGraph::expand_arc/ {
+           print FILENAME ":" FNR ": " $0
+         }')"
+if [[ -n "$walks" ]]; then
+  echo "FAIL: per-rank store walk in an analysis pass:" >&2
+  echo "$walks" >&2
   exit 1
 fi
 echo "grep gate OK"

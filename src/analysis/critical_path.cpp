@@ -3,51 +3,51 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace tdbg::analysis {
 
-CriticalPath critical_path(const trace::Trace& trace,
-                           const trace::RankIndex& index,
+CriticalPath critical_path(const trace::RankIndex& index,
+                           const trace::EventColumns& columns,
                            const trace::MessageDag& dag) {
   constexpr std::size_t kNone = trace::MessageDag::kNone;
+  const std::size_t n = columns.size();
+  TDBG_CHECK(n == index.position.size(),
+             "event columns and rank index cover different traces");
   CriticalPath out;
-  out.per_rank.assign(static_cast<std::size_t>(trace.num_ranks()), 0);
-  if (trace.empty()) return out;
+  out.per_rank.assign(index.seq.size(), 0);
+  if (n == 0) return out;
 
-  const std::size_t n = trace.size();
+  const auto& t_start = columns.t_start;
+  const auto& t_end = columns.t_end;
   std::vector<support::TimeNs> eff(n, 0);  // effective durations
-  std::vector<support::TimeNs> t_start(n, 0);
-  std::vector<support::TimeNs> t_end(n, 0);
 
   // Weights are profiler-style *self times*: an event's interval minus
   // the intervals of events directly nested inside it on the same rank
   // (a compute scope around blocking receives must not count their
   // waits as its own work), and a matched receive's time spent blocked
   // before its sender finished counts as edge latency, not rank work.
-  // The walk keeps every interval for that receive clipping below.
-  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
+  for (const auto& seq : index.seq) {
     struct Open {
       std::size_t index;
       support::TimeNs t_end;
     };
     std::vector<Open> stack;  // open enclosing intervals
-    trace.for_each_rank_event(r, [&](std::size_t e, const trace::Event& ev) {
-      const auto raw = std::max<support::TimeNs>(0, ev.t_end - ev.t_start);
+    for (const std::size_t e : seq) {
+      const auto raw = std::max<support::TimeNs>(0, t_end[e] - t_start[e]);
       eff[e] = raw;
-      t_start[e] = ev.t_start;
-      t_end[e] = ev.t_end;
-      while (!stack.empty() && stack.back().t_end <= ev.t_start) {
+      while (!stack.empty() && stack.back().t_end <= t_start[e]) {
         stack.pop_back();
       }
-      if (!stack.empty() && ev.t_end <= stack.back().t_end) {
+      if (!stack.empty() && t_end[e] <= stack.back().t_end) {
         eff[stack.back().index] = std::max<support::TimeNs>(
             0, eff[stack.back().index] - raw);  // parent loses child time
-        stack.push_back(Open{e, ev.t_end});
+        stack.push_back(Open{e, t_end[e]});
       } else if (stack.empty()) {
-        stack.push_back(Open{e, ev.t_end});
+        stack.push_back(Open{e, t_end[e]});
       }
-    });
+    }
   }
 
   // The costliest chain ending at each event: in topological order its

@@ -42,11 +42,12 @@ struct CriticalPath {
                                       std::size_t max_rows = 12) const;
 };
 
-/// Computes the critical path.  O(events + messages).  `index` and
-/// `dag` come from the owning `analysis::Session`
-/// (`Session::critical_path()` is the public entry point).
-CriticalPath critical_path(const trace::Trace& trace,
-                           const trace::RankIndex& index,
+/// Computes the critical path.  O(events + messages).  `index`,
+/// `columns` and `dag` come from the owning `analysis::Session`
+/// (`Session::critical_path()` is the public entry point); the trace
+/// itself is not read.
+CriticalPath critical_path(const trace::RankIndex& index,
+                           const trace::EventColumns& columns,
                            const trace::MessageDag& dag);
 
 }  // namespace tdbg::analysis

@@ -308,6 +308,35 @@ trace::MessageDag compute_message_dag(const trace::MatchReport& report,
   return dag;
 }
 
+trace::EventColumns compute_event_columns(const trace::Trace& trace) {
+  const std::size_t n = trace.size();
+  trace::EventColumns cols;
+  cols.kind.resize(n);
+  cols.construct.resize(n);
+  cols.marker.resize(n);
+  cols.peer.resize(n);
+  cols.t_start.resize(n);
+  cols.t_end.resize(n);
+  // Segments cover disjoint display ranges, so the tasks never write
+  // the same slot.
+  constexpr trace::ColumnSet kRead =
+      trace::kColKind | trace::kColConstruct | trace::kColMarker |
+      trace::kColPeer | trace::kColTStart | trace::kColTEnd;
+  trace.parallel_for_each_segment("session.event_columns",
+                                  [&](std::size_t seg) {
+    trace.for_each_in_segment_cols(
+        seg, kRead, [&](std::size_t i, const trace::Event& e) {
+          cols.kind[i] = e.kind;
+          cols.construct[i] = e.construct;
+          cols.marker[i] = e.marker;
+          cols.peer[i] = e.peer;
+          cols.t_start[i] = e.t_start;
+          cols.t_end[i] = e.t_end;
+        });
+  });
+  return cols;
+}
+
 namespace {
 
 struct ChannelAgg {

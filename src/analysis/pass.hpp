@@ -123,6 +123,12 @@ std::shared_ptr<const trace::RankIndex> compute_rank_index(
 trace::MessageDag compute_message_dag(const trace::MatchReport& report,
                                       const trace::RankIndex& index);
 
+/// The history views' event columns, gathered by one segment-parallel
+/// pass that decodes only those six columns.  Kept out of the fused
+/// sweep: the sweep is on the open → match path, and most sessions
+/// never ask for the views.
+trace::EventColumns compute_event_columns(const trace::Trace& trace);
+
 /// Traffic accounting from the sweep records and the matching — no
 /// `event()` lookups.  Byte-identical to the pre-refactor
 /// `analyze_traffic` text output.

@@ -91,6 +91,7 @@ void Session::update(trace::Trace trace) {
   invalidate(match_);
   invalidate(rank_index_);
   invalidate(dag_);
+  invalidate(columns_);
   invalidate(order_);
   invalidate(traffic_);
   invalidate(races_);
@@ -142,6 +143,11 @@ const trace::MessageDag& Session::message_dag() {
   });
 }
 
+const trace::EventColumns& Session::event_columns() {
+  return materialize(columns_, "session.event_columns",
+                     [&] { return compute_event_columns(trace_); });
+}
+
 const causality::CausalOrder& Session::causal_order() {
   return materialize(order_, "session.causal_order", [&] {
     return causality::CausalOrder(trace_, rank_index_ptr(), message_dag());
@@ -169,14 +175,15 @@ const graph::CommGraph& Session::comm_graph() {
 
 const graph::ActionGraph& Session::action_graph() {
   return materialize(action_graph_, "session.action_graph", [&] {
-    return graph::ActionGraph::from_trace(trace_);
+    return graph::ActionGraph::build(rank_index(), event_columns());
   });
 }
 
 const graph::TraceGraph& Session::trace_graph(std::size_t merge_limit) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
   return materialize(trace_graphs_[merge_limit], "session.trace_graph", [&] {
-    return graph::TraceGraph::from_trace(trace_, merge_limit);
+    return graph::TraceGraph::build(rank_index(), event_columns(),
+                                    merge_limit);
   });
 }
 
@@ -192,7 +199,8 @@ const graph::CallGraph& Session::call_graph(std::optional<mpi::Rank> rank) {
 
 const CriticalPath& Session::critical_path() {
   return materialize(critical_path_, "session.critical_path", [&] {
-    return analysis::critical_path(trace_, rank_index(), message_dag());
+    return analysis::critical_path(rank_index(), event_columns(),
+                                   message_dag());
   });
 }
 
@@ -239,11 +247,13 @@ std::vector<PassInfo> Session::pass_states() const {
   one("traffic", "sweep, match", true, traffic_);
   one("comm_graph", "sweep, match, rank_index", true, comm_graph_);
   one("message_dag", "match, rank_index", false, dag_);
+  one("event_columns", "-", false, columns_);
   one("causal_order", "rank_index, message_dag", false, order_);
   one("races", "sweep, message_dag, causal_order", false, races_);
-  one("critical_path", "rank_index, message_dag", false, critical_path_);
+  one("critical_path", "rank_index, event_columns, message_dag", false,
+      critical_path_);
   one("intertwined", "match, causal_order", false, intertwined_);
-  one("action_graph", "trace", false, action_graph_);
+  one("action_graph", "rank_index, event_columns", false, action_graph_);
   // The parameterized graph caches aggregate across their keys.
   const auto many = [&](const char* name, const char* deps,
                         const auto& slots) {
@@ -262,7 +272,7 @@ std::vector<PassInfo> Session::pass_states() const {
     fill_info(out, name, deps, false, computes, reuses, last_ns, watermark,
               cached);
   };
-  many("trace_graph", "trace", trace_graphs_);
+  many("trace_graph", "rank_index, event_columns", trace_graphs_);
   many("call_graph", "trace_graph", call_graphs_);
   return out;
 }

@@ -28,10 +28,11 @@
 ///
 /// A session owns one `trace::Trace` and a cache of lazily-computed,
 /// memoized **artifacts** over it — the fused sweep, the match report,
-/// the per-rank index, the message DAG, vector clocks, traffic, races,
-/// the graphs — each computed at most once per trace state and handed
-/// out by reference.  The debugger holds one session per trace; the CLI
-/// tools and the HTML view construct one and pull what they need.
+/// the per-rank index, the message DAG, the event columns, vector
+/// clocks, traffic, races, the graphs — each computed at most once per
+/// trace state and handed out by reference.  The debugger holds one
+/// session per trace; the CLI tools and the HTML view construct one and
+/// pull what they need.
 ///
 /// **Invalidation / incremental contract.**  `update(trace)` moves the
 /// session to a new trace state.  When the new trace is a prefix-
@@ -100,6 +101,10 @@ class Session {
   /// Matched endpoints and one topological order of the message DAG
   /// (program order + send → receive edges).
   const trace::MessageDag& message_dag();
+
+  /// The flat per-event fields the critical path, the action and trace
+  /// graphs and the time stopline read.
+  const trace::EventColumns& event_columns();
 
   /// Happens-before / vector clocks.
   const causality::CausalOrder& causal_order();
@@ -190,6 +195,7 @@ class Session {
   Artifact<trace::MatchReport> match_;
   Artifact<std::shared_ptr<const trace::RankIndex>> rank_index_;
   Artifact<trace::MessageDag> dag_;
+  Artifact<trace::EventColumns> columns_;
   Artifact<causality::CausalOrder> order_;
   Artifact<TrafficReport> traffic_;
   Artifact<RaceReport> races_;

@@ -149,19 +149,22 @@ bool is_consistent(const trace::MatchReport& report,
   return true;
 }
 
-Cut cut_at_time(const trace::Trace& trace, support::TimeNs t) {
+Cut cut_at_time(const trace::RankIndex& index,
+                const trace::EventColumns& columns, support::TimeNs t) {
+  TDBG_CHECK(columns.size() == index.position.size(),
+             "event columns and rank index cover different traces");
   Cut cut;
-  cut.prefix_len.assign(static_cast<std::size_t>(trace.num_ranks()), 0);
-  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    // t_end is not monotone along a rank (nested intervals), so this
-    // stays a linear sweep — but through the cursor, not a vector.
-    std::size_t len = 0;
-    std::size_t p = 0;
-    trace.for_each_rank_event(r, [&](std::size_t, const trace::Event& e) {
-      ++p;
-      if (e.t_end <= t) len = p;
-    });
-    cut.prefix_len[static_cast<std::size_t>(r)] = len;
+  cut.prefix_len.assign(index.seq.size(), 0);
+  for (std::size_t r = 0; r < index.seq.size(); ++r) {
+    // t_end is not monotone along a rank (nested intervals), so scan
+    // back for the last completed event instead of binary-searching.
+    const auto& seq = index.seq[r];
+    for (std::size_t p = seq.size(); p > 0; --p) {
+      if (columns.t_end[seq[p - 1]] <= t) {
+        cut.prefix_len[r] = p;
+        break;
+      }
+    }
   }
   return cut;
 }

@@ -123,7 +123,8 @@ const analysis::RaceReport& Debugger::races() { return session().races(); }
 
 replay::Stopline Debugger::stopline_at(support::TimeNs t) const {
   return replay::stopline_at_time(trace(), session().match_report(),
-                                  session().rank_index(), t);
+                                  session().rank_index(),
+                                  session().event_columns(), t);
 }
 
 replay::Stopline Debugger::stopline_past_frontier(std::size_t event) {

@@ -7,9 +7,12 @@
 
 namespace tdbg::graph {
 
-ActionGraph ActionGraph::from_trace(const trace::Trace& trace) {
+ActionGraph ActionGraph::build(const trace::RankIndex& index,
+                               const trace::EventColumns& columns) {
+  TDBG_CHECK(columns.size() == index.position.size(),
+             "event columns and rank index cover different traces");
   ActionGraph g;
-  g.per_rank_.resize(static_cast<std::size_t>(trace.num_ranks()));
+  g.per_rank_.resize(index.seq.size());
   // Run-collapsing is a per-rank fold over that rank's program order;
   // each task owns its `per_rank_` slot, so ranks build concurrently
   // with no shared state and a scheduling-independent result.
@@ -18,31 +21,31 @@ ActionGraph ActionGraph::from_trace(const trace::Trace& trace) {
         const auto r = static_cast<mpi::Rank>(ri);
         auto& actions = g.per_rank_[ri];
         std::vector<trace::ConstructId> stack;
-        trace.for_each_rank_event(r, [&](std::size_t, const trace::Event& e) {
-          if (e.kind == trace::EventKind::kExit) {
+        for (const std::size_t i : index.seq[ri]) {
+          const auto kind = columns.kind[i];
+          const auto construct = columns.construct[i];
+          const auto marker = columns.marker[i];
+          if (kind == trace::EventKind::kExit) {
             if (!stack.empty()) stack.pop_back();
-            return;
+            continue;
           }
           const auto parent = stack.empty() ? trace::kNoConstruct : stack.back();
+          if (kind == trace::EventKind::kEnter) stack.push_back(construct);
           // Extend the previous action when this operation continues
           // the same run (same parent activation, same construct,
           // same kind).
           if (!actions.empty()) {
             auto& last = actions.back();
-            if (last.parent == parent && last.construct == e.construct &&
-                last.kind == e.kind) {
+            if (last.parent == parent && last.construct == construct &&
+                last.kind == kind) {
               ++last.count;
-              last.marker_hi = e.marker;
-              if (e.kind == trace::EventKind::kEnter) {
-                stack.push_back(e.construct);
-              }
-              return;
+              last.marker_hi = marker;
+              continue;
             }
           }
           actions.push_back(
-              Action{r, parent, e.construct, e.kind, 1, e.marker, e.marker});
-          if (e.kind == trace::EventKind::kEnter) stack.push_back(e.construct);
-        });
+              Action{r, parent, construct, kind, 1, marker, marker});
+        }
       });
   return g;
 }

@@ -35,7 +35,11 @@ struct Action {
 /// The per-rank action sequences of a trace.
 class ActionGraph {
  public:
-  static ActionGraph from_trace(const trace::Trace& trace);
+  /// Builds every rank's actions from the session's rank index and
+  /// event columns (`analysis::Session::action_graph()` is the public
+  /// entry point).
+  static ActionGraph build(const trace::RankIndex& index,
+                           const trace::EventColumns& columns);
 
   /// Actions of one rank, in execution order.
   [[nodiscard]] const std::vector<Action>& actions(mpi::Rank rank) const;

@@ -24,11 +24,6 @@ CallGraph CallGraph::project(const TraceGraph& graph,
   return cg;
 }
 
-CallGraph CallGraph::from_trace(const trace::Trace& trace,
-                                std::optional<mpi::Rank> rank) {
-  return project(TraceGraph::from_trace(trace), rank);
-}
-
 std::uint64_t CallGraph::call_count(trace::ConstructId callee) const {
   std::uint64_t n = 0;
   for (const auto& e : edges_) {

@@ -33,10 +33,6 @@ class CallGraph {
   static CallGraph project(const TraceGraph& graph,
                            std::optional<mpi::Rank> rank);
 
-  /// Builds directly from a trace (convenience).
-  static CallGraph from_trace(const trace::Trace& trace,
-                              std::optional<mpi::Rank> rank);
-
   /// The edges, sorted by (caller, callee).
   [[nodiscard]] const std::vector<CallEdge>& edges() const { return edges_; }
 

@@ -97,12 +97,22 @@ void TraceGraph::add_event(const trace::Event& event) {
   }
 }
 
-TraceGraph TraceGraph::from_trace(const trace::Trace& trace,
-                                  std::size_t merge_limit) {
-  TraceGraph g(trace.num_ranks(), merge_limit);
-  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    trace.for_each_rank_event(
-        r, [&](std::size_t, const trace::Event& e) { g.add_event(e); });
+TraceGraph TraceGraph::build(const trace::RankIndex& index,
+                             const trace::EventColumns& columns,
+                             std::size_t merge_limit) {
+  TDBG_CHECK(columns.size() == index.position.size(),
+             "event columns and rank index cover different traces");
+  TraceGraph g(static_cast<int>(index.seq.size()), merge_limit);
+  for (std::size_t r = 0; r < index.seq.size(); ++r) {
+    trace::Event e;
+    e.rank = static_cast<mpi::Rank>(r);
+    for (const std::size_t i : index.seq[r]) {
+      e.kind = columns.kind[i];
+      e.construct = columns.construct[i];
+      e.marker = columns.marker[i];
+      e.peer = columns.peer[i];
+      g.add_event(e);
+    }
   }
   return g;
 }

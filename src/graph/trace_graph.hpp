@@ -75,9 +75,13 @@ class TraceGraph {
   /// across ranks is fine).
   void add_event(const trace::Event& event);
 
-  /// Convenience: builds the graph from a complete trace.
-  static TraceGraph from_trace(const trace::Trace& trace,
-                               std::size_t merge_limit = 16);
+  /// Builds the graph of a complete trace by feeding every rank's
+  /// events, in program order, from the session's rank index and event
+  /// columns (`analysis::Session::trace_graph()` is the public entry
+  /// point).
+  static TraceGraph build(const trace::RankIndex& index,
+                          const trace::EventColumns& columns,
+                          std::size_t merge_limit = 16);
 
   /// Number of distinct nodes materialized so far.
   [[nodiscard]] std::size_t node_count() const;

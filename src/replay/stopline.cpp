@@ -11,8 +11,10 @@ Stopline stopline_from_cut(const trace::Trace& trace,
 
 Stopline stopline_at_time(const trace::Trace& trace,
                           const trace::MatchReport& report,
-                          const trace::RankIndex& index, support::TimeNs t) {
-  auto cut = causality::cut_at_time(trace, t);
+                          const trace::RankIndex& index,
+                          const trace::EventColumns& columns,
+                          support::TimeNs t) {
+  auto cut = causality::cut_at_time(index, columns, t);
   causality::restrict_to_consistent(report, index, cut);
   return stopline_from_cut(trace, cut);
 }

@@ -37,11 +37,13 @@ struct Stopline {
 };
 
 /// Vertical stopline at display time `t` (consistent by construction;
-/// see file comment).  `report` and `index` come from the trace's
-/// `analysis::Session`.
+/// see file comment).  `report`, `index` and `columns` come from the
+/// trace's `analysis::Session`.
 Stopline stopline_at_time(const trace::Trace& trace,
                           const trace::MatchReport& report,
-                          const trace::RankIndex& index, support::TimeNs t);
+                          const trace::RankIndex& index,
+                          const trace::EventColumns& columns,
+                          support::TimeNs t);
 
 /// Stopline along the past frontier of event `e`.
 Stopline stopline_past_frontier(const causality::CausalOrder& order,

@@ -78,6 +78,24 @@ struct MessageDag {
   }
 };
 
+/// The event fields the history views read, as one flat array per
+/// field indexed by display index (33 bytes/event): the critical
+/// path's durations, the action and trace graphs' runs and arcs, and
+/// the time stopline's cut.  Built once per trace state by
+/// `analysis::Session::event_columns()` in one column-pruned pass over
+/// the segments, so those passes walk `RankIndex::seq` over memory
+/// instead of sending every rank through storage.
+struct EventColumns {
+  std::vector<EventKind> kind;
+  std::vector<ConstructId> construct;
+  std::vector<std::uint64_t> marker;
+  std::vector<mpi::Rank> peer;
+  std::vector<support::TimeNs> t_start;
+  std::vector<support::TimeNs> t_end;
+
+  [[nodiscard]] std::size_t size() const { return kind.size(); }
+};
+
 /// An immutable execution history: the merged event stream of one run.
 ///
 /// `Trace` is a query facade over a `TraceStore` backend — either the

@@ -265,10 +265,11 @@ TEST(CausalOrderTest, StrassenEveryVerticalCutConsistentAfterRestriction) {
   analysis::Session session(rec.trace);
   const auto& report = session.match_report();
   const auto& index = session.rank_index();
+  const auto& columns = session.event_columns();
   for (int i = 0; i <= 50; ++i) {
     const auto t =
         rec.trace.t_min() + (rec.trace.t_max() - rec.trace.t_min()) * i / 50;
-    auto cut = cut_at_time(rec.trace, t);
+    auto cut = cut_at_time(index, columns, t);
     restrict_to_consistent(report, index, cut);
     EXPECT_TRUE(is_consistent(report, index, cut)) << "i=" << i;
   }

@@ -9,9 +9,10 @@
 //   * zone-map skipping and column pruning advance the trace.decode.*
 //     counters without changing any query result,
 //   * analysis artifacts (matching, traffic, comm graph, races,
-//     critical path, past frontiers) are byte-identical on the storm
-//     and deadlock_ring workloads across both backends, all three
-//     binary versions, at 1 and 8 threads.
+//     critical path, past frontiers, action/trace/call graph DOT) are
+//     byte-identical on the storm, deadlock_ring and strassen workloads
+//     across both backends, all three binary versions, at 1 and 8
+//     threads.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "analysis/session.hpp"
+#include "apps/strassen.hpp"
 #include "fault/engine.hpp"
 #include "fault/plan.hpp"
 #include "graph/export.hpp"
@@ -488,6 +490,9 @@ struct Artifacts {
   std::string races;
   std::string critical_path;
   std::string past_frontiers;  ///< every event's
+  std::string action_graph;
+  std::string trace_graph;     ///< at merge limits 16 and 2
+  std::string call_graph;
 };
 
 Artifacts artifacts_of(const trace::Trace& t, std::size_t threads) {
@@ -529,6 +534,13 @@ Artifacts artifacts_of(const trace::Trace& t, std::size_t threads) {
     }
     a.past_frontiers += ";";
   }
+  const auto& constructs = t.constructs();
+  a.action_graph = graph::to_dot(session.action_graph().to_export(constructs));
+  for (const std::size_t limit : {std::size_t{16}, std::size_t{2}}) {
+    a.trace_graph +=
+        graph::to_dot(session.trace_graph(limit).to_export(constructs));
+  }
+  a.call_graph = graph::to_dot(session.call_graph().to_export(constructs));
   return a;
 }
 
@@ -553,6 +565,9 @@ void expect_identical_artifacts_across_everything(const trace::Trace& rec) {
         EXPECT_EQ(baseline.races, got.races) << tag;
         EXPECT_EQ(baseline.critical_path, got.critical_path) << tag;
         EXPECT_EQ(baseline.past_frontiers, got.past_frontiers) << tag;
+        EXPECT_EQ(baseline.action_graph, got.action_graph) << tag;
+        EXPECT_EQ(baseline.trace_graph, got.trace_graph) << tag;
+        EXPECT_EQ(baseline.call_graph, got.call_graph) << tag;
       }
     }
   }
@@ -574,6 +589,18 @@ TEST(ColumnarTest, DeadlockRingArtifactsIdenticalAcrossBackendsVersionsThreads) 
   options.fault_engine = &engine;
   const auto rec = replay::record(kRanks, ring_body(kRanks), options);
   ASSERT_FALSE(rec.trace.empty());
+  expect_identical_artifacts_across_everything(rec.trace);
+}
+
+// Storm and the held ring have no enter/exit events, so only a traced
+// application exercises the call arcs and nested runs of the graphs.
+TEST(ColumnarTest, StrassenArtifactsIdenticalAcrossBackendsVersionsThreads) {
+  apps::strassen::Options opts;
+  opts.n = 32;
+  opts.cutoff = 8;
+  const auto rec = replay::record(
+      8, [&](mpi::Comm& comm) { apps::strassen::rank_body(comm, opts); });
+  ASSERT_TRUE(rec.result.completed) << rec.result.abort_detail;
   expect_identical_artifacts_across_everything(rec.trace);
 }
 

@@ -170,7 +170,8 @@ TEST(EdgeCausality, EmptyAndSingleEventTraces) {
   (void)empty_session.causal_order();
   EXPECT_TRUE(causality::is_consistent(
       empty_session.match_report(), empty_session.rank_index(),
-      causality::cut_at_time(empty, 100)));
+      causality::cut_at_time(empty_session.rank_index(),
+                             empty_session.event_columns(), 100)));
 
   std::vector<trace::Event> one(1);
   one[0].rank = 0;

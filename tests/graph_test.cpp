@@ -52,8 +52,8 @@ trace::Trace small_trace() {
 }
 
 TEST(TraceGraphTest, BuildsCallAndMessageArcs) {
-  const auto trace = small_trace();
-  const auto g = TraceGraph::from_trace(trace);
+  analysis::Session session(small_trace());
+  const auto& g = session.trace_graph();
   // Nodes: r0:main, r0:f, r0:<root>, r1:g, r1:<root>, channel 0->1.
   EXPECT_EQ(g.node_count(), 6u);
   // Arcs: root->main, main->f (x2 stored separately), root->g,
@@ -95,7 +95,8 @@ TEST(TraceGraphTest, ExpandArcRecoversMergedOperations) {
   const auto rec = replay::record(
       2, [&](mpi::Comm& comm) { apps::strassen::rank_body(comm, opts); });
   ASSERT_TRUE(rec.result.completed);
-  const auto g = TraceGraph::from_trace(rec.trace, /*merge_limit=*/2);
+  analysis::Session session(rec.trace);
+  const auto& g = session.trace_graph(/*merge_limit=*/2);
 
   // For every merged arc group, expanding all arcs must recover
   // exactly `count` trace events each.
@@ -119,14 +120,15 @@ TEST(TraceGraphTest, NodeCountBoundHolds) {
   const auto rec = replay::record(
       4, [&](mpi::Comm& comm) { apps::strassen::rank_body(comm, opts); });
   ASSERT_TRUE(rec.result.completed);
-  const auto g = TraceGraph::from_trace(rec.trace);
+  analysis::Session session(rec.trace);
+  const auto& g = session.trace_graph();
   const auto functions = rec.trace.constructs().size() + 1;  // + <root>
   EXPECT_LE(g.node_count(), functions * 4 + 4 * 4);
 }
 
 TEST(CallGraphTest, ProjectsPerRank) {
-  const auto trace = small_trace();
-  const auto tg = TraceGraph::from_trace(trace);
+  analysis::Session session(small_trace());
+  const auto& tg = session.trace_graph();
   const auto cg0 = CallGraph::project(tg, 0);
   // Edges on rank 0: root->main, main->f.
   ASSERT_EQ(cg0.edges().size(), 2u);
@@ -140,8 +142,8 @@ TEST(CallGraphTest, ProjectsPerRank) {
 }
 
 TEST(CallGraphTest, CallsPerArcSplitsEdges) {
-  const auto trace = small_trace();
-  const auto cg = CallGraph::from_trace(trace, 0);
+  analysis::Session session(small_trace());
+  const auto& cg = session.call_graph(0);
   trace::ConstructRegistry reg;
   reg.intern("main");
   reg.intern("f");
@@ -193,8 +195,8 @@ TEST(ActionGraphTest, CompressesRuns) {
     events.push_back(ev(EventKind::kSend, 0, 2 + i, 5, 1, i));
   }
   events.push_back(ev(EventKind::kExit, 0, 12, 0));
-  trace::Trace trace(2, std::move(events), nullptr);
-  const auto ag = ActionGraph::from_trace(trace);
+  analysis::Session session(trace::Trace(2, std::move(events), nullptr));
+  const auto& ag = session.action_graph();
   const auto& actions = ag.actions(0);
   ASSERT_EQ(actions.size(), 2u);  // enter main, send x10
   EXPECT_EQ(actions[1].count, 10u);
@@ -203,12 +205,12 @@ TEST(ActionGraphTest, CompressesRuns) {
 }
 
 TEST(ExportTest, DotAndVcgAreWellFormed) {
-  const auto trace = small_trace();
+  analysis::Session session(small_trace());
   trace::ConstructRegistry reg;
   reg.intern("main");
   reg.intern("f");
   reg.intern("g");
-  const auto tg = TraceGraph::from_trace(trace);
+  const auto& tg = session.trace_graph();
   const auto exported = tg.to_export(reg);
 
   const auto dot = to_dot(exported);

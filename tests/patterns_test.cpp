@@ -126,7 +126,8 @@ TEST(ModelUnitTest, QuantifiersBacktrack) {
   push(trace::EventKind::kSend, s);
   push(trace::EventKind::kEnter, g);
   trace::Trace trace(2, std::move(events), reg);
-  const auto actions = graph::ActionGraph::from_trace(trace);
+  Session session(trace);
+  const auto& actions = session.action_graph();
 
   // `any* enter:g` must backtrack the star to leave the final enter.
   EXPECT_TRUE(check_model(trace, actions, 0,

@@ -71,7 +71,8 @@ TEST_P(StoplineSweep, EveryVerticalStoplineParksAtItsThresholds) {
                  (rec.trace.t_max() - rec.trace.t_min()) * pct / 100;
   analysis::Session analysis(rec.trace);
   const auto line = replay::stopline_at_time(
-      rec.trace, analysis.match_report(), analysis.rank_index(), t);
+      rec.trace, analysis.match_report(), analysis.rank_index(),
+      analysis.event_columns(), t);
 
   replay::ReplaySession session(4, body, rec.log);
   const auto stops = session.run_to(line);

@@ -93,8 +93,9 @@ TEST(Replay, StoplineParksEveryRankAtItsMarker) {
   // Vertical stopline through the middle of the trace.
   const auto t_mid = (rec.trace.t_min() + rec.trace.t_max()) / 2;
   analysis::Session analysis(rec.trace);
-  const auto line = stopline_at_time(rec.trace, analysis.match_report(),
-                                     analysis.rank_index(), t_mid);
+  const auto line =
+      stopline_at_time(rec.trace, analysis.match_report(),
+                       analysis.rank_index(), analysis.event_columns(), t_mid);
 
   ReplaySession session(8, body, rec.log);
   const auto stops = session.run_to(line);
@@ -183,9 +184,10 @@ TEST(Stopline, VerticalCutsAreConsistent) {
   analysis::Session analysis(rec.trace);
   const auto& report = analysis.match_report();
   const auto& index = analysis.rank_index();
+  const auto& columns = analysis.event_columns();
   for (int i = 0; i <= 20; ++i) {
     const auto t = t0 + (t1 - t0) * i / 20;
-    auto cut = causality::cut_at_time(rec.trace, t);
+    auto cut = causality::cut_at_time(index, columns, t);
     causality::restrict_to_consistent(report, index, cut);
     EXPECT_TRUE(causality::is_consistent(report, index, cut))
         << "i=" << i;

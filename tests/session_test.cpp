@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -404,6 +405,14 @@ void expect_sessions_identical(analysis::Session& a, analysis::Session& b) {
   EXPECT_EQ(pa.total, pb.total);
   EXPECT_EQ(pa.per_rank, pb.per_rank);
   EXPECT_EQ(pa.rank_switches, pb.rank_switches);
+  const auto& ca = a.trace().constructs();
+  const auto& cb = b.trace().constructs();
+  EXPECT_EQ(graph::to_dot(a.action_graph().to_export(ca)),
+            graph::to_dot(b.action_graph().to_export(cb)));
+  EXPECT_EQ(graph::to_dot(a.trace_graph().to_export(ca)),
+            graph::to_dot(b.trace_graph().to_export(cb)));
+  EXPECT_EQ(graph::to_dot(a.call_graph().to_export(ca)),
+            graph::to_dot(b.call_graph().to_export(cb)));
   // Sampled happens-before grid over both causal orders.
   const auto& oa = a.causal_order();
   const auto& ob = b.causal_order();
@@ -427,16 +436,27 @@ TEST(SessionTest, ArtifactsAreSharedAndMemoized) {
   const auto* first = &session.match_report();
   EXPECT_EQ(first, &session.match_report());  // same object, no rebuild
 
-  bool match_seen = false;
-  for (const auto& info : session.pass_states()) {
-    if (info.name != "match") continue;
-    match_seen = true;
-    EXPECT_TRUE(info.cached);
-    EXPECT_EQ(info.computes, 1u);
-    EXPECT_GE(info.reuses, 1u);
-    EXPECT_EQ(info.watermark, rec.trace.size());
-  }
-  EXPECT_TRUE(match_seen);
+  // The three history views share one event-column gather.
+  (void)session.critical_path();
+  (void)session.action_graph();
+  (void)session.trace_graph();
+
+  std::map<std::string, analysis::PassInfo> passes;
+  for (const auto& info : session.pass_states()) passes[info.name] = info;
+  ASSERT_TRUE(passes.count("match"));
+  EXPECT_TRUE(passes["match"].cached);
+  EXPECT_EQ(passes["match"].computes, 1u);
+  EXPECT_GE(passes["match"].reuses, 1u);
+  EXPECT_EQ(passes["match"].watermark, rec.trace.size());
+  ASSERT_TRUE(passes.count("event_columns"));
+  EXPECT_TRUE(passes["event_columns"].cached);
+  EXPECT_EQ(passes["event_columns"].computes, 1u);
+  EXPECT_EQ(passes["event_columns"].reuses, 2u);
+  EXPECT_EQ(passes["event_columns"].watermark, rec.trace.size());
+  EXPECT_EQ(passes["critical_path"].deps,
+            "rank_index, event_columns, message_dag");
+  EXPECT_EQ(passes["action_graph"].deps, "rank_index, event_columns");
+  EXPECT_EQ(passes["trace_graph"].deps, "rank_index, event_columns");
   EXPECT_NE(session.describe().find("analysis session"), std::string::npos);
 }
 
@@ -499,6 +519,9 @@ TEST(SessionTest, IncrementalIdenticalToFromScratch) {
   (void)incremental.comm_graph();
   (void)incremental.races();
   (void)incremental.causal_order();
+  (void)incremental.critical_path();
+  (void)incremental.action_graph();
+  (void)incremental.trace_graph();
 
   incremental.update(trace::Trace(kRanks, events, nullptr));
   analysis::Session scratch(trace::Trace(kRanks, events, nullptr));
