@@ -52,7 +52,8 @@ int main() {
 
     analysis::Session session(rec.trace);
     const auto& order = session.causal_order();
-    const auto mid = rec.trace.rank_events(4)[rec.trace.rank_events(4).size() / 2];
+    const auto& seq = session.rank_index().seq[4];
+    const auto mid = seq[seq.size() / 2];
     const double frontier_s = bench::time_median_s(5, [&] {
       const auto pf = order.past_frontier(mid);
       const auto ff = order.future_frontier(mid);

@@ -11,17 +11,14 @@
 //                        traffic, causal order, races, comm graph —
 //                        includes the serial vector-clock propagation,
 //                        so this is the end-to-end (Amdahl) number
-//   BM_SegmentedScan/P   cold full scan of the on-disk v2 file with
-//                        the segment prefetch pipeline off (P=0) and
-//                        on (P=1)
+//   BM_SegmentedScan     cold full scan of the on-disk v2 file
 //
 // Before any timing, main() verifies the determinism contract: the
 // match report, traffic report, race list, and comm-graph DOT are
 // byte-identical at 1, 2, 4, and 8 threads; any mismatch aborts with
 // exit 1.  When the host has >= 8 hardware threads it then enforces
 // the PR's gate — >= 3x speedup for the parallel phases at 8 threads —
-// and otherwise prints a skip note (scripts/bench_pr7_parallel.sh
-// records the same decision in BENCH_pr7_parallel.json).
+// and otherwise prints a skip note.
 
 #include <benchmark/benchmark.h>
 
@@ -214,7 +211,6 @@ void BM_SegmentedScan(benchmark::State& state) {
   exec::ScopedExecutor pool(4);
   trace::TraceOpenOptions options;
   options.cache_segments = 4;
-  options.prefetch = state.range(0) == 1;
   std::uint64_t sum = 0;
   for (auto _ : state) {
     const auto t = trace::open_trace(data().v2, options);
@@ -225,7 +221,7 @@ void BM_SegmentedScan(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kEvents));
 }
-BENCHMARK(BM_SegmentedScan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SegmentedScan)->Unit(benchmark::kMillisecond);
 
 /// Byte-identical across thread counts, or die.
 bool verify_determinism() {

@@ -151,7 +151,6 @@ struct BenchData {
   [[nodiscard]] trace::Trace lazy() const {
     trace::TraceOpenOptions options;
     options.cache_segments = 4;
-    options.prefetch = false;
     return trace::open_trace(v2, options);
   }
   [[nodiscard]] trace::Trace prefix() const {

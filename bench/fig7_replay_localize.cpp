@@ -33,7 +33,7 @@ int main() {
   // Stopline at rank 0's first MatrSend activation.
   const auto& trace = debugger.trace();
   std::size_t first = 0;
-  for (std::size_t i : trace.rank_events(0)) {
+  for (std::size_t i : debugger.session().rank_index().seq[0]) {
     const auto& e = trace.event(i);
     if (e.kind == trace::EventKind::kEnter &&
         trace.constructs().info(e.construct).name == "MatrSend") {

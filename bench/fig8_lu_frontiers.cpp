@@ -44,7 +44,7 @@ int main() {
 
   // "The user clicked at the point indicated by the circle": a
   // mid-trace receive on an interior rank.
-  const auto& seq = rec.trace.rank_events(5);
+  const auto& seq = session.rank_index().seq[5];
   std::size_t selected = seq[seq.size() / 2];
 
   const auto past = order.causal_past(selected);

@@ -35,7 +35,7 @@ int main() {
   // "The user clicked at the point indicated by the circle": pick a
   // mid-trace receive on rank 5 (an interior rank of the grid).
   const auto& trace = debugger.trace();
-  const auto& seq = trace.rank_events(5);
+  const auto& seq = debugger.session().rank_index().seq[5];
   std::size_t selected = seq[seq.size() / 2];
   for (std::size_t i : seq) {
     if (trace.event(i).kind == trace::EventKind::kRecv &&

@@ -75,7 +75,7 @@ int main() {
   std::cout << "\n=== 4. stopline before the first send; replay ===\n";
   const auto& trace = debugger.trace();
   std::size_t first_send = 0;
-  for (std::size_t i : trace.rank_events(0)) {
+  for (std::size_t i : debugger.session().rank_index().seq[0]) {
     const auto& e = trace.event(i);
     if (e.kind == trace::EventKind::kEnter &&
         trace.constructs().info(e.construct).name == "MatrSend") {

@@ -50,8 +50,8 @@
 #                          at 1/2/4/8 threads, and the ≥3x speedup gate
 #                          where 8 hardware threads exist)
 #   - abl_columnar_store  (asserts v3-vs-v2 artifact byte-identity, the
-#                          ≤0.35x on-disk size gate, the ≥2x cold-sweep
-#                          gate, and the ≥4x rank-window gate)
+#                          ≤0.35x on-disk size gate, and the ≥2x
+#                          cold-sweep gate)
 #   - trace conversion round-trip smoke (v2 → v3 → v2 must be
 #     byte-identical; converted v3 reports as binary-v3 in `info`)
 #   - tdbg_cli ring4 --stats smoke (per-rank sends/recvs/bytes visible)
@@ -161,12 +161,11 @@ echo "=== abl_parallel_analysis determinism + speedup contract ==="
 # contract runs in main().
 "$bdir/bench/abl_parallel_analysis" --benchmark_filter='^$'
 
-echo "=== abl_columnar_store size + sweep + window contract ==="
+echo "=== abl_columnar_store size + sweep contract ==="
 # Asserts analysis artifacts over the v3 columnar store are
 # byte-identical to v2 before any timing, then (best-of-reps) the on-
-# disk gate (v3 <= 0.35x of v2), the cold full-sweep gate (>= 2x wall
-# and cpu), and the rank-filtered window-query gate (>= 4x wall and
-# cpu) on a ~2.1M-event trace; exit 1 on any miss.
+# disk gate (v3 <= 0.35x of v2) and the cold full-sweep gate (>= 2x
+# wall and cpu) on a ~2.1M-event trace; exit 1 on any miss.
 "$bdir/bench/abl_columnar_store" --reps 5
 
 echo "=== trace format conversion round-trip smoke ==="

@@ -72,9 +72,6 @@ Executor::~Executor() {
   }
   wake_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  // Anything still queued (fire-and-forget prefetches) runs inline so
-  // its completion side effects resolve before the pool vanishes.
-  drain_inline();
 }
 
 Executor& Executor::global() {
@@ -181,10 +178,6 @@ std::function<void()> Executor::try_pop() {
   return nullptr;
 }
 
-void Executor::drain_inline() {
-  while (auto task = try_pop()) task();
-}
-
 void Executor::parallel_for(std::size_t n, std::string_view site,
                             const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
@@ -245,14 +238,6 @@ void Executor::parallel_for(std::size_t n, std::string_view site,
     });
   }
   if (state->error) std::rethrow_exception(state->error);
-}
-
-void Executor::async(std::function<void()> task) {
-  if (threads_ <= 1 || queues_.empty()) {
-    task();
-    return;
-  }
-  push_task(std::move(task));
 }
 
 ScopedExecutor::ScopedExecutor(std::size_t threads) : exec_(threads) {

@@ -94,12 +94,6 @@ class Executor {
   void parallel_for(std::size_t n, std::string_view site,
                     const std::function<void(std::size_t)>& body);
 
-  /// Fire-and-forget: runs `task` on a worker eventually (inline when
-  /// the pool is serial).  Tasks still queued at destruction are run
-  /// (not dropped) by the destructor, so completion side effects —
-  /// e.g. the segment prefetch inflight count — always resolve.
-  void async(std::function<void()> task);
-
  private:
   struct WorkerQueue {
     std::mutex mu;
@@ -111,7 +105,6 @@ class Executor {
   /// Pops one task: own queue front first (workers), then steals from
   /// sibling queue backs.  Null when everything is empty.
   std::function<void()> try_pop();
-  void drain_inline();
 
   std::size_t threads_ = 1;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;

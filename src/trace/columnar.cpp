@@ -530,9 +530,8 @@ namespace {
 /// tile's columns have all been scattered, while the run is cache-hot.
 template <typename Dest, typename Done>
 DecodeResult decode_tiles(std::span<const std::byte> blob, ColumnSet cols,
-                          int num_ranks, std::vector<std::uint64_t>& scratch,
-                          const std::filesystem::path& path, std::size_t seg,
-                          const Dest& dest, const Done& done) {
+                          int num_ranks, const std::filesystem::path& path,
+                          std::size_t seg, const Dest& dest, const Done& done) {
   DecodeResult res;
   res.header = parse_segment_header(blob, path, seg);
   const std::size_t n = res.header.count;
@@ -540,8 +539,6 @@ DecodeResult decode_tiles(std::span<const std::byte> blob, ColumnSet cols,
 
   ColumnSet eff = cols & kAllColumns;
   if ((eff & (1u << kColTEnd)) != 0) eff |= 1u << kColTStart;
-
-  (void)scratch;  // kept for API stability; the fused decode needs none
 
   // Locate (and bounds-check) every column payload up front, so a
   // truncated block fails with the offending column's name whether or
@@ -611,18 +608,15 @@ DecodeResult decode_tiles(std::span<const std::byte> blob, ColumnSet cols,
 
 }  // namespace
 
-DecodeResult decode_segment(std::span<const std::byte> blob, ColumnSet cols,
-                            int num_ranks, std::vector<Event>& out,
-                            std::vector<std::uint64_t>& scratch,
+DecodeResult decode_segment(std::span<const std::byte> blob, int num_ranks,
+                            std::vector<Event>& out,
                             const std::filesystem::path& path,
                             std::size_t seg) {
   const auto res = decode_tiles(
-      blob, cols, num_ranks, scratch, path, seg,
+      blob, kAllColumns, num_ranks, path, seg,
       [&out](std::size_t i0, std::size_t, std::size_t n) {
-        // Resize without clearing: every selected field is overwritten,
-        // and a reused scratch vector of the right size skips a
-        // multi-MB value-initialization per decode.  Unselected fields
-        // are unspecified.
+        // Every field is overwritten, so a resize without clearing is
+        // enough.
         if (i0 == 0) out.resize(n);
         return out.data() + i0;
       },
@@ -632,16 +626,16 @@ DecodeResult decode_segment(std::span<const std::byte> blob, ColumnSet cols,
 }
 
 DecodeResult decode_segment_visit(
-    std::span<const std::byte> blob, int num_ranks, std::size_t base_index,
+    std::span<const std::byte> blob, ColumnSet cols, int num_ranks,
+    std::size_t base_index,
     const std::function<void(std::size_t, const Event&)>& visit,
-    std::vector<std::uint64_t>& scratch, const std::filesystem::path& path,
-    std::size_t seg) {
-  // One tile of events on the stack: a full-segment sweep never
-  // materializes more than kTileRows rows, and each row is visited
-  // straight out of L1.
+    const std::filesystem::path& path, std::size_t seg) {
+  // One tile of events on the stack: a scan never materializes more
+  // than kTileRows rows, and each row is visited straight out of L1.
+  // Unselected columns are never written, so they keep their defaults.
   std::array<Event, kTileRows> buf;
   return decode_tiles(
-      blob, kAllColumns, num_ranks, scratch, path, seg,
+      blob, cols, num_ranks, path, seg,
       [&buf](std::size_t, std::size_t, std::size_t) { return buf.data(); },
       [&](std::size_t i0, std::size_t cnt, const Event* e) {
         for (std::size_t k = 0; k < cnt; ++k) {

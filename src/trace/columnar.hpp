@@ -35,13 +35,12 @@
 ///   kDeltaVarint  LEB128 of zigzag(v[i] - v[i-1]), v[-1] = 0
 ///   kRaw          fixed 8-byte little-endian
 ///
-/// Decoding is column-at-a-time into reusable u64 scratch, then a
-/// tight per-field scatter into `Event` rows — no per-record dispatch,
-/// no per-field bounds checks.  A reader may decode any subset of
-/// columns (`ColumnSet`); unselected fields are unspecified (the
-/// output vector is reused unzeroed).  Any inconsistency — a payload that stops short, a
-/// varint running past its block, an invalid kind or rank — raises
-/// `FormatError` naming the segment and the column.
+/// Decoding runs one tile of rows at a time, each selected column
+/// decoding straight into the tile's `Event` fields — no per-record
+/// dispatch, no per-field bounds checks.  A streaming reader may decode
+/// any subset of columns (`ColumnSet`).  Any inconsistency — a payload
+/// that stops short, a varint running past its block, an invalid kind
+/// or rank — raises `FormatError` naming the segment and the column.
 
 namespace tdbg::trace::columnar {
 
@@ -125,15 +124,6 @@ struct SegmentZoneInfo {
 void encode_segment(std::span<const Event> events, support::BinaryWriter& w,
                     SegmentZoneInfo* zone_out);
 
-/// Reusable per-thread decode buffers; keep one per call site (see
-/// `thread_local` uses in store.cpp) so repeated segment decodes never
-/// reallocate.
-struct DecodeScratch {
-  std::vector<std::uint64_t> vals;
-  std::vector<std::byte> blob;
-  std::vector<Event> events;
-};
-
 /// Result of decoding (part of) one segment block.
 struct DecodeResult {
   SegmentHeader header;
@@ -149,29 +139,28 @@ struct DecodeResult {
     std::span<const std::byte> blob, const std::filesystem::path& path,
     std::size_t seg);
 
-/// Decodes the columns selected by `cols` from the segment block
-/// starting at `blob[0]` into `out` (resized to the segment's count;
-/// unselected fields are unspecified).  `t_start` is decoded
-/// implicitly whenever `t_end` is requested (its storage form is a
-/// row-local delta).  Kind bytes and ranks are validated when their
-/// columns are selected (`num_ranks` < 0 skips the rank-range check).
-/// Throws `FormatError` naming the segment and column on truncation or
+/// Decodes every column of the segment block starting at `blob[0]`
+/// into `out` (resized to the segment's count).  Kind bytes and ranks
+/// are validated (`num_ranks` < 0 skips the rank-range check).  Throws
+/// `FormatError` naming the segment and column on truncation or
 /// corruption.
-DecodeResult decode_segment(std::span<const std::byte> blob, ColumnSet cols,
-                            int num_ranks, std::vector<Event>& out,
-                            std::vector<std::uint64_t>& scratch,
+DecodeResult decode_segment(std::span<const std::byte> blob, int num_ranks,
+                            std::vector<Event>& out,
                             const std::filesystem::path& path,
                             std::size_t seg);
 
-/// Streaming variant for full sweeps: decodes every column one tile at
-/// a time into a stack buffer and calls `visit(base_index + i, event)`
-/// for each row while the tile is still cache-hot — the segment's
-/// events are never materialized as a whole.  Same validation and
-/// error behavior as `decode_segment` with all columns selected.
+/// Streaming variant for sweeps and column-pruned scans: decodes the
+/// columns selected by `cols` one tile at a time into a stack buffer
+/// and calls `visit(base_index + i, event)` for each row while the tile
+/// is still cache-hot — the segment's events are never materialized as
+/// a whole.  Unselected fields keep their `Event` defaults; `t_start`
+/// is decoded implicitly whenever `t_end` is requested (its storage
+/// form is a row-local delta).  Kind bytes and ranks are validated when
+/// their columns are selected; errors as for `decode_segment`.
 DecodeResult decode_segment_visit(
-    std::span<const std::byte> blob, int num_ranks, std::size_t base_index,
+    std::span<const std::byte> blob, ColumnSet cols, int num_ranks,
+    std::size_t base_index,
     const std::function<void(std::size_t, const Event&)>& visit,
-    std::vector<std::uint64_t>& scratch, const std::filesystem::path& path,
-    std::size_t seg);
+    const std::filesystem::path& path, std::size_t seg);
 
 }  // namespace tdbg::trace::columnar

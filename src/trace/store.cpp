@@ -5,12 +5,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cerrno>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
-#include "support/executor.hpp"
 #include "support/serialize.hpp"
 #include "trace/columnar.hpp"
 
@@ -29,8 +28,6 @@ struct SegmentCacheMetrics {
       obs::MetricsRegistry::global().counter("trace.cache.loads");
   obs::Counter& evictions =
       obs::MetricsRegistry::global().counter("trace.cache.evictions");
-  obs::Counter& prefetches =
-      obs::MetricsRegistry::global().counter("trace.cache.prefetches");
   obs::Gauge& resident_segments =
       obs::MetricsRegistry::global().gauge("trace.cache.resident_segments");
   obs::Gauge& resident_bytes =
@@ -61,64 +58,14 @@ struct DecodeMetrics {
   }
 };
 
-/// Row `k`'s field `col` as a u64 bit pattern (signed fields stored
-/// two's-complement), matching `ColumnProjection::col` layout.
-std::uint64_t event_field_u64(std::size_t col, const Event& e) {
-  switch (col) {
-    case columnar::kColKind: return static_cast<std::uint64_t>(e.kind);
-    case columnar::kColRank:
-      return static_cast<std::uint64_t>(static_cast<std::int64_t>(e.rank));
-    case columnar::kColMarker: return e.marker;
-    case columnar::kColConstruct: return e.construct;
-    case columnar::kColTStart: return static_cast<std::uint64_t>(e.t_start);
-    case columnar::kColTEnd: return static_cast<std::uint64_t>(e.t_end);
-    case columnar::kColPeer:
-      return static_cast<std::uint64_t>(static_cast<std::int64_t>(e.peer));
-    case columnar::kColTag:
-      return static_cast<std::uint64_t>(static_cast<std::int64_t>(e.tag));
-    case columnar::kColChannelSeq: return e.channel_seq;
-    case columnar::kColBytes: return e.bytes;
-    default: return e.wildcard ? 1 : 0;
-  }
-}
-
-/// Inverse of `event_field_u64`.
-void set_event_field(std::size_t col, std::uint64_t v, Event& e) {
-  switch (col) {
-    case columnar::kColKind: e.kind = static_cast<EventKind>(v); break;
-    case columnar::kColRank: e.rank = static_cast<mpi::Rank>(v); break;
-    case columnar::kColMarker: e.marker = v; break;
-    case columnar::kColConstruct:
-      e.construct = static_cast<ConstructId>(v);
-      break;
-    case columnar::kColTStart:
-      e.t_start = static_cast<support::TimeNs>(v);
-      break;
-    case columnar::kColTEnd: e.t_end = static_cast<support::TimeNs>(v); break;
-    case columnar::kColPeer:
-      e.peer = static_cast<mpi::Rank>(static_cast<std::int64_t>(v));
-      break;
-    case columnar::kColTag:
-      e.tag = static_cast<mpi::Tag>(static_cast<std::int64_t>(v));
-      break;
-    case columnar::kColChannelSeq: e.channel_seq = v; break;
-    case columnar::kColBytes: e.bytes = v; break;
-    default: e.wildcard = v != 0; break;
-  }
+[[noreturn]] void directory_error(const std::filesystem::path& path,
+                                  std::size_t seg, const std::string& what) {
+  throw FormatError("trace directory entry for segment " +
+                    std::to_string(seg) + " " + what + " in trace file " +
+                    path.string());
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// TraceStore defaults
-
-void TraceStore::for_each_rank_in_window(mpi::Rank rank, support::TimeNs t0,
-                                         support::TimeNs t1,
-                                         const EventVisitor& visit) const {
-  for_each_rank_event(rank, [&](std::size_t i, const Event& e) {
-    if (e.t_start <= t1 && e.t_end >= t0) visit(i, e);
-  });
-}
 
 // ---------------------------------------------------------------------------
 // InMemoryTraceStore
@@ -240,38 +187,56 @@ std::optional<std::size_t> InMemoryTraceStore::last_event_at_or_before(
 
 SegmentedTraceStore::SegmentedTraceStore(std::filesystem::path path,
                                          int num_ranks, wire::Footer footer,
-                                         std::size_t cache_segments,
-                                         bool prefetch)
+                                         std::size_t cache_segments)
     : path_(std::move(path)), footer_(std::move(footer)),
-      num_ranks_(num_ranks), prefetch_enabled_(prefetch),
+      num_ranks_(num_ranks),
       cache_segments_(std::max<std::size_t>(1, cache_segments)) {
   TDBG_CHECK(num_ranks_ > 0, "trace needs at least one rank");
   TDBG_CHECK(footer_.display_sorted() && footer_.rank_markers_monotone(),
              "segmented store requires a sorted v2/v3 trace");
-  fd_ = ::open(path_.c_str(), O_RDONLY);
-  if (fd_ < 0) {
-    throw IoError("cannot open trace file: " + path_.string());
-  }
-  auto registry = std::make_shared<ConstructRegistry>();
-  registry->restore(footer_.constructs);
-  constructs_ = std::move(registry);
 
+  // The directory must describe the file: segments follow one another
+  // from the header on and end no later than the footer, so no read can
+  // run past it, and a v2 segment holds exactly its fixed-width records.
   const std::size_t nseg = footer_.segments.size();
   seg_first_index_.assign(nseg + 1, 0);
   rank_first_pos_.assign(static_cast<std::size_t>(num_ranks_),
                          std::vector<std::size_t>(nseg + 1, 0));
+  std::uint64_t end = wire::kHeaderBytes;
   for (std::size_t s = 0; s < nseg; ++s) {
     const auto& seg = footer_.segments[s];
     TDBG_CHECK(seg.ranks.size() == static_cast<std::size_t>(num_ranks_),
                "trace directory rank-table width mismatch");
+    if (seg.offset != end) {
+      directory_error(path_, s,
+                      "starts at byte " + std::to_string(seg.offset) +
+                          ", not at byte " + std::to_string(end));
+    }
+    if (end > footer_.offset || seg.byte_len > footer_.offset - end) {
+      directory_error(path_, s,
+                      "runs " + std::to_string(seg.byte_len) +
+                          " bytes past byte " + std::to_string(end) +
+                          ", beyond the footer at byte " +
+                          std::to_string(footer_.offset));
+    }
+    if (footer_.version != 3 &&
+        (seg.byte_len % wire::kEventRecordBytes != 0 ||
+         seg.byte_len / wire::kEventRecordBytes != seg.count)) {
+      directory_error(path_, s,
+                      "spans " + std::to_string(seg.byte_len) + " bytes for " +
+                          std::to_string(seg.count) + " records");
+    }
+    end += seg.byte_len;
     seg_first_index_[s + 1] = seg_first_index_[s] + seg.count;
     for (int r = 0; r < num_ranks_; ++r) {
       rank_first_pos_[r][s + 1] =
           rank_first_pos_[r][s] + seg.ranks[static_cast<std::size_t>(r)].count;
     }
   }
-  TDBG_CHECK(seg_first_index_[nseg] == footer_.event_count,
-             "trace directory event count mismatch");
+  if (seg_first_index_[nseg] != footer_.event_count) {
+    throw FormatError("trace directory event count mismatch in trace file " +
+                      path_.string());
+  }
   if (nseg > 0) {
     t_min_ = footer_.segments.front().t_min;
     for (const auto& seg : footer_.segments) {
@@ -279,20 +244,13 @@ SegmentedTraceStore::SegmentedTraceStore(std::filesystem::path path,
     }
   }
   cache_.assign(nseg, nullptr);
-  if (footer_.version == 3) {
-    // The compressed tier gets the byte budget that `cache_segments`
-    // decoded segments would have cost as v2 rows — same memory
-    // envelope, several times more resident trace.
-    blob_budget_ = cache_segments_ *
-                   static_cast<std::size_t>(footer_.segment_events) *
-                   wire::kEventRecordBytes;
-    blob_cache_.assign(nseg, nullptr);
-    // The projection tier gets the RAM the decoded-row LRU is allowed;
-    // narrow projections (8 bytes per selected column per event) make
-    // that envelope cover several times more trace than full rows.
-    proj_budget_ = cache_segments_ *
-                   static_cast<std::size_t>(footer_.segment_events) *
-                   sizeof(Event);
+
+  auto registry = std::make_shared<ConstructRegistry>();
+  registry->restore(footer_.constructs);
+  constructs_ = std::move(registry);
+  fd_ = ::open(path_.c_str(), O_RDONLY);
+  if (fd_ < 0) {
+    throw IoError("cannot open trace file: " + path_.string());
   }
 }
 
@@ -304,28 +262,16 @@ std::size_t SegmentedTraceStore::segment_of_index(std::size_t i) const {
 }
 
 SegmentedTraceStore::~SegmentedTraceStore() {
-  {
-    std::unique_lock lk(prefetch_mu_);
-    prefetch_cv_.wait(lk, [this] { return prefetch_inflight_ == 0; });
-  }
   if (fd_ >= 0) ::close(fd_);
 }
 
-SegmentedTraceStore::BlobPtr SegmentedTraceStore::blob(std::size_t seg) const {
-  {
-    std::lock_guard lk(blob_mu_);
-    if (!blob_cache_.empty() && blob_cache_[seg]) {
-      ++blob_hits_;
-      blob_lru_.remove(seg);
-      blob_lru_.push_front(seg);
-      return blob_cache_[seg];
-    }
-  }
+void SegmentedTraceStore::read_block(std::size_t seg,
+                                     std::vector<std::byte>& block) const {
   const auto& meta = footer_.segments[seg];
-  auto bytes = std::make_shared<std::vector<std::byte>>(meta.byte_len);
+  block.resize(meta.byte_len);
   std::size_t got = 0;
-  while (got < bytes->size()) {
-    const ssize_t n = ::pread(fd_, bytes->data() + got, bytes->size() - got,
+  while (got < block.size()) {
+    const ssize_t n = ::pread(fd_, block.data() + got, block.size() - got,
                               static_cast<off_t>(meta.offset + got));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
@@ -333,21 +279,14 @@ SegmentedTraceStore::BlobPtr SegmentedTraceStore::blob(std::size_t seg) const {
     }
     got += static_cast<std::size_t>(n);
   }
-  std::lock_guard lk(blob_mu_);
-  ++blob_loads_;
-  if (blob_cache_.empty() || blob_budget_ == 0) return bytes;
-  if (!blob_cache_[seg]) {
-    while (blob_bytes_ + bytes->size() > blob_budget_ && !blob_lru_.empty()) {
-      const std::size_t victim = blob_lru_.back();
-      blob_lru_.pop_back();
-      blob_bytes_ -= blob_cache_[victim]->size();
-      blob_cache_[victim] = nullptr;
-    }
-    blob_cache_[seg] = bytes;
-    blob_lru_.push_front(seg);
-    blob_bytes_ += bytes->size();
+  if (footer_.version != 3) return;
+  const auto count = columnar::parse_segment_header(block, path_, seg).count;
+  if (count != meta.count) {
+    directory_error(path_, seg,
+                    "counts " + std::to_string(meta.count) +
+                        " events, but its block holds " +
+                        std::to_string(count));
   }
-  return bytes;
 }
 
 SegmentedTraceStore::SegmentPtr SegmentedTraceStore::resident_segment(
@@ -361,95 +300,53 @@ SegmentedTraceStore::SegmentPtr SegmentedTraceStore::resident_segment(
   return cache_[seg];
 }
 
-SegmentedTraceStore::ProjectionPtr SegmentedTraceStore::projection(
-    std::size_t seg, ColumnSet cols) const {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(seg) << wire::kNumColumnsV3) | cols;
-  {
-    std::lock_guard lk(proj_mu_);
-    const auto it = proj_map_.find(key);
-    if (it != proj_map_.end()) {
-      proj_lru_.splice(proj_lru_.begin(), proj_lru_, it->second);
-      ++proj_hits_;
-      return it->second->second;
-    }
-  }
-  const auto bytes = blob(seg);
-  thread_local columnar::DecodeScratch scratch;
-  const auto res = columnar::decode_segment(*bytes, cols, num_ranks_,
-                                            scratch.events, scratch.vals,
-                                            path_, seg);
-  auto& m = DecodeMetrics::get();
-  m.decoded_bytes.add(-1, res.decoded_bytes);
-  m.columns_skipped.add(
-      -1, wire::kNumColumnsV3 -
-              static_cast<std::uint64_t>(std::popcount(res.decoded_cols)));
-  auto proj = std::make_shared<ColumnProjection>();
-  proj->cols = cols;
-  const std::size_t n = scratch.events.size();
-  for (std::size_t c = 0; c < wire::kNumColumnsV3; ++c) {
-    if ((cols & (1u << c)) == 0) continue;
-    auto& vals = proj->col[c];
-    vals.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      vals[k] = event_field_u64(c, scratch.events[k]);
-    }
-    proj->bytes += n * sizeof(std::uint64_t);
-  }
-  std::lock_guard lk(proj_mu_);
-  if (proj_map_.find(key) == proj_map_.end()) {
-    proj_lru_.emplace_front(key, proj);
-    proj_map_[key] = proj_lru_.begin();
-    proj_bytes_ += proj->bytes;
-    ++proj_loads_;
-    while (proj_bytes_ > proj_budget_ && proj_lru_.size() > 1) {
-      const auto& victim = proj_lru_.back();
-      proj_bytes_ -= victim.second->bytes;
-      proj_map_.erase(victim.first);
-      proj_lru_.pop_back();
-    }
-  }
-  return proj;
-}
-
 SegmentedTraceStore::SegmentPtr SegmentedTraceStore::load_segment(
     std::size_t seg) const {
   const auto& meta = footer_.segments[seg];
-  const auto bytes = blob(seg);
+  std::vector<std::byte> block;
+  read_block(seg, block);
 
   auto loaded = std::make_shared<LoadedSegment>();
-  loaded->rank_positions.assign(static_cast<std::size_t>(num_ranks_), {});
   if (footer_.version == 3) {
-    thread_local std::vector<std::uint64_t> scratch;
-    const auto res = columnar::decode_segment(
-        *bytes, columnar::kAllColumns, num_ranks_, loaded->events, scratch,
-        path_, seg);
+    const auto res = columnar::decode_segment(block, num_ranks_,
+                                              loaded->events, path_, seg);
     DecodeMetrics::get().decoded_bytes.add(-1, res.decoded_bytes);
-    for (std::size_t k = 0; k < loaded->events.size(); ++k) {
-      loaded->rank_positions[static_cast<std::size_t>(loaded->events[k].rank)]
-          .push_back(static_cast<std::uint32_t>(k));
+  } else {
+    loaded->events.reserve(meta.count);
+    support::BinaryReader r(block);
+    for (std::uint64_t k = 0; k < meta.count; ++k) {
+      const auto tag = r.get<std::uint8_t>();
+      if (tag != wire::kRecordEvent) {
+        throw FormatError("corrupt trace segment in " + path_.string());
+      }
+      const auto kind = std::to_integer<std::uint8_t>(block[r.position()]);
+      if (!wire::valid_event_kind(kind)) {
+        throw FormatError(
+            "unknown event kind " + std::to_string(kind) + " in trace file " +
+            path_.string() + " at offset " +
+            std::to_string(meta.offset + k * wire::kEventRecordBytes + 1));
+      }
+      Event e = wire::decode_event(r);
+      TDBG_CHECK(e.rank >= 0 && e.rank < num_ranks_, "event rank out of range");
+      loaded->events.push_back(e);
     }
-    return loaded;
   }
-  loaded->events.reserve(meta.count);
-  support::BinaryReader r(*bytes);
-  for (std::uint64_t k = 0; k < meta.count; ++k) {
-    const auto tag = r.get<std::uint8_t>();
-    if (tag != wire::kRecordEvent) {
-      throw FormatError("corrupt trace segment in " + path_.string());
+  // The per-rank directory counts drive every program-order lookup
+  // into this segment, so they must match what the block holds.
+  loaded->rank_positions.assign(static_cast<std::size_t>(num_ranks_), {});
+  for (std::size_t k = 0; k < loaded->events.size(); ++k) {
+    loaded->rank_positions[static_cast<std::size_t>(loaded->events[k].rank)]
+        .push_back(static_cast<std::uint32_t>(k));
+  }
+  for (int r = 0; r < num_ranks_; ++r) {
+    const auto rk = static_cast<std::size_t>(r);
+    if (loaded->rank_positions[rk].size() != meta.ranks[rk].count) {
+      directory_error(path_, seg,
+                      "counts " + std::to_string(meta.ranks[rk].count) +
+                          " events of rank " + std::to_string(r) +
+                          ", but its block holds " +
+                          std::to_string(loaded->rank_positions[rk].size()));
     }
-    const auto kind = std::to_integer<std::uint8_t>((*bytes)[r.position()]);
-    if (!wire::valid_event_kind(kind)) {
-      throw FormatError(
-          "unknown event kind " + std::to_string(kind) + " in trace file " +
-          path_.string() + " at offset " +
-          std::to_string(meta.offset + k * wire::kEventRecordBytes + 1));
-    }
-    Event e = wire::decode_event(r);
-    TDBG_CHECK(e.rank >= 0 && e.rank < num_ranks_, "event rank out of range");
-    loaded->rank_positions[static_cast<std::size_t>(e.rank)].push_back(
-        static_cast<std::uint32_t>(k));
-    loaded->events.push_back(e);
   }
   return loaded;
 }
@@ -529,52 +426,10 @@ SegmentedTraceStore::SegmentPtr SegmentedTraceStore::segment(
   }
 }
 
-void SegmentedTraceStore::maybe_prefetch(std::size_t seg) const {
-  if (!prefetch_enabled_ || seg >= footer_.segments.size()) return;
-  auto& pool = exec::Executor::global();
-  if (pool.threads() <= 1) return;
-  {
-    std::lock_guard lk(mu_);
-    if (cache_[seg] || loading_.count(seg) != 0) return;
-    ++stats_.prefetches;
-    SegmentCacheMetrics::get().prefetches.add(-1);
-  }
-  {
-    std::lock_guard lk(prefetch_mu_);
-    ++prefetch_inflight_;
-  }
-  pool.async([this, seg] {
-    try {
-      (void)segment(seg);
-    } catch (...) {
-      // A failing read-ahead is dropped; the demand read surfaces the
-      // error on the consuming thread.
-    }
-    std::lock_guard lk(prefetch_mu_);
-    --prefetch_inflight_;
-    prefetch_cv_.notify_all();
-  });
-}
-
 SegmentCacheStats SegmentedTraceStore::cache_stats() const {
-  SegmentCacheStats s;
-  {
-    std::lock_guard lk(mu_);
-    s = stats_;
-    s.resident_segments = lru_.size();
-  }
-  {
-    std::lock_guard lk(blob_mu_);
-    s.blob_loads = blob_loads_;
-    s.blob_hits = blob_hits_;
-    s.compressed_segments = blob_lru_.size();
-    s.compressed_bytes = blob_bytes_;
-  }
-  std::lock_guard lk(proj_mu_);
-  s.projection_loads = proj_loads_;
-  s.projection_hits = proj_hits_;
-  s.projections = proj_lru_.size();
-  s.projection_bytes = proj_bytes_;
+  std::lock_guard lk(mu_);
+  SegmentCacheStats s = stats_;
+  s.resident_segments = lru_.size();
   return s;
 }
 
@@ -619,147 +474,18 @@ void SegmentedTraceStore::for_each_in_segment_cols(
     }
     return;
   }
-  const auto bytes = blob(s);
-  thread_local columnar::DecodeScratch scratch;
-  const auto res = columnar::decode_segment(*bytes, cols, num_ranks_,
-                                            scratch.events, scratch.vals,
-                                            path_, s);
+  // Fused decode+visit: rows are delivered one L1-sized tile at a time,
+  // so the scan never writes and re-reads a multi-MB run of decoded
+  // events, and nothing is installed in the cache.
+  std::vector<std::byte> block;
+  read_block(s, block);
+  const auto res = columnar::decode_segment_visit(block, cols, num_ranks_,
+                                                  base, visit, path_, s);
   auto& m = DecodeMetrics::get();
   m.decoded_bytes.add(-1, res.decoded_bytes);
   m.columns_skipped.add(
       -1, wire::kNumColumnsV3 -
               static_cast<std::uint64_t>(std::popcount(res.decoded_cols)));
-  for (std::size_t k = 0; k < scratch.events.size(); ++k) {
-    visit(base + k, scratch.events[k]);
-  }
-}
-
-void SegmentedTraceStore::for_each_rank_in_window(
-    mpi::Rank rank, support::TimeNs t0, support::TimeNs t1,
-    const EventVisitor& visit) const {
-  TDBG_CHECK(rank >= 0 && rank < num_ranks_, "rank out of range");
-  auto& m = DecodeMetrics::get();
-  // Segment t_min values are nondecreasing: nothing past the partition
-  // point can intersect the window.
-  const auto hi = std::partition_point(
-      footer_.segments.begin(), footer_.segments.end(),
-      [t1](const wire::SegmentMeta& sm) { return sm.t_min <= t1; });
-  const auto nseg = static_cast<std::size_t>(hi - footer_.segments.begin());
-  const auto r = static_cast<std::size_t>(rank);
-  for (std::size_t s = 0; s < nseg; ++s) {
-    const auto& meta = footer_.segments[s];
-    if (meta.ranks[r].count == 0) continue;  // rank absent: free skip
-    if (meta.t_max < t0) {
-      m.segments_skipped.add(-1);  // zone skip: a naive scan loads this
-      continue;
-    }
-    const std::size_t base = seg_first_index_[s];
-    if (const auto seg = resident_segment(s)) {
-      for (std::uint32_t k : seg->rank_positions[r]) {
-        const Event& e = seg->events[k];
-        if (e.t_start > t1) return;  // per-rank starts are nondecreasing
-        if (e.t_end >= t0) visit(base + k, e);
-      }
-      continue;
-    }
-    if (footer_.version != 3) {
-      const auto seg = segment(s);
-      for (std::uint32_t k : seg->rank_positions[r]) {
-        const Event& e = seg->events[k];
-        if (e.t_start > t1) return;
-        if (e.t_end >= t0) visit(base + k, e);
-      }
-      continue;
-    }
-    // v3: peek at the rank/time columns first; only a segment that
-    // actually holds a matching row pays for the other eight columns.
-    // The probe comes from the projection cache, so repeated window
-    // queries over the same region skip even the narrow decode.
-    const auto probe = projection(s, kColRank | kColTStart | kColTEnd);
-    const auto& rk = probe->col[columnar::kColRank];
-    const auto& ts = probe->col[columnar::kColTStart];
-    const auto& te = probe->col[columnar::kColTEnd];
-    bool match = false;
-    bool past = false;
-    for (std::size_t k = 0; k < rk.size(); ++k) {
-      if (rk[k] != static_cast<std::uint64_t>(r)) continue;
-      if (static_cast<support::TimeNs>(ts[k]) > t1) {
-        past = true;
-        break;
-      }
-      if (static_cast<support::TimeNs>(te[k]) >= t0) {
-        match = true;
-        break;
-      }
-    }
-    if (!match) {
-      if (past) return;
-      continue;
-    }
-    // A confirmed hit pays the full decode once via the shared cache so
-    // repeated window queries over the same hot region reuse it.
-    const auto seg = segment(s);
-    for (std::uint32_t k : seg->rank_positions[r]) {
-      const Event& e = seg->events[k];
-      if (e.t_start > t1) return;
-      if (e.t_end >= t0) visit(base + k, e);
-    }
-  }
-}
-
-void SegmentedTraceStore::for_each_rank_in_window_cols(
-    mpi::Rank rank, support::TimeNs t0, support::TimeNs t1, ColumnSet cols,
-    const EventVisitor& visit) const {
-  TDBG_CHECK(rank >= 0 && rank < num_ranks_, "rank out of range");
-  if (footer_.version != 3) {
-    for_each_rank_in_window(rank, t0, t1, visit);
-    return;
-  }
-  auto& m = DecodeMetrics::get();
-  const auto hi = std::partition_point(
-      footer_.segments.begin(), footer_.segments.end(),
-      [t1](const wire::SegmentMeta& sm) { return sm.t_min <= t1; });
-  const auto nseg = static_cast<std::size_t>(hi - footer_.segments.begin());
-  const auto r = static_cast<std::size_t>(rank);
-  // The probe columns are required to evaluate the predicate itself.
-  const ColumnSet want = cols | kColRank | kColTStart | kColTEnd;
-  for (std::size_t s = 0; s < nseg; ++s) {
-    const auto& meta = footer_.segments[s];
-    if (meta.ranks[r].count == 0) continue;
-    if (meta.t_max < t0) {
-      m.segments_skipped.add(-1);
-      continue;
-    }
-    const std::size_t base = seg_first_index_[s];
-    if (const auto seg = resident_segment(s)) {
-      for (std::uint32_t k : seg->rank_positions[r]) {
-        const Event& e = seg->events[k];
-        if (e.t_start > t1) return;
-        if (e.t_end >= t0) visit(base + k, e);
-      }
-      continue;
-    }
-    // Not resident: answer from the projection of just the requested
-    // columns — the caller has promised not to look at the rest, so
-    // matching rows materialize partially-populated events on the
-    // stack without ever building a full segment.  The projection
-    // stays cached, so the next window over this region decodes
-    // nothing at all.
-    const auto proj = projection(s, want);
-    const auto& rk = proj->col[columnar::kColRank];
-    const auto& ts = proj->col[columnar::kColTStart];
-    const auto& te = proj->col[columnar::kColTEnd];
-    for (std::size_t k = 0; k < rk.size(); ++k) {
-      if (rk[k] != static_cast<std::uint64_t>(r)) continue;
-      if (static_cast<support::TimeNs>(ts[k]) > t1) return;
-      if (static_cast<support::TimeNs>(te[k]) < t0) continue;
-      Event e;
-      for (std::size_t c = 0; c < wire::kNumColumnsV3; ++c) {
-        if ((want & (1u << c)) != 0) set_event_field(c, proj->col[c][k], e);
-      }
-      visit(base + k, e);
-    }
-  }
 }
 
 Event SegmentedTraceStore::event(std::size_t i) const {
@@ -784,40 +510,13 @@ void SegmentedTraceStore::for_each_in_segment(std::size_t s,
 }
 
 void SegmentedTraceStore::for_each(const EventVisitor& visit) const {
-  if (footer_.version == 3) {
-    // Streaming sweep: decode each block into reusable per-thread
-    // scratch and move on.  A full pass touches every segment exactly
-    // once, so materializing LoadedSegments (row copies, per-rank
-    // position indexes, LRU churn) would be pure overhead; segments
-    // already resident (or prefetched) are still reused for free.
-    auto& m = DecodeMetrics::get();
-    thread_local columnar::DecodeScratch scratch;
-    for (std::size_t s = 0; s < footer_.segments.size(); ++s) {
-      maybe_prefetch(s + 1);
-      const std::size_t base = seg_first_index_[s];
-      if (const auto seg = resident_segment(s)) {
-        for (std::size_t k = 0; k < seg->events.size(); ++k) {
-          visit(base + k, seg->events[k]);
-        }
-        continue;
-      }
-      const auto bytes = blob(s);
-      // Fused decode+visit: rows are delivered one L1-sized tile at a
-      // time, so the sweep never writes and re-reads a multi-MB run of
-      // decoded events.
-      const auto res = columnar::decode_segment_visit(
-          *bytes, num_ranks_, base, visit, scratch.vals, path_, s);
-      m.decoded_bytes.add(-1, res.decoded_bytes);
-    }
-    return;
-  }
+  // On v3 this streams every block through the visitor once: a full
+  // pass touches each segment exactly once, so materializing
+  // LoadedSegments (row copies, per-rank position indexes, LRU churn)
+  // would be pure overhead.  A v2 segment has no columns to prune and
+  // goes through the cache.
   for (std::size_t s = 0; s < footer_.segments.size(); ++s) {
-    maybe_prefetch(s + 1);  // decode k+1 on the pool while we consume k
-    const auto seg = segment(s);
-    const std::size_t base = seg_first_index_[s];
-    for (std::size_t k = 0; k < seg->events.size(); ++k) {
-      visit(base + k, seg->events[k]);
-    }
+    for_each_in_segment_cols(s, kAllEventColumns, visit);
   }
 }
 
@@ -836,9 +535,6 @@ void SegmentedTraceStore::for_each_in_window(support::TimeNs t0,
     if (footer_.segments[s].t_max < t0) {
       DecodeMetrics::get().segments_skipped.add(-1);  // directory-only skip
       continue;
-    }
-    if (s + 1 < nseg && footer_.segments[s + 1].t_max >= t0) {
-      maybe_prefetch(s + 1);
     }
     const auto seg = segment(s);
     const std::size_t base = seg_first_index_[s];
@@ -870,20 +566,12 @@ std::size_t SegmentedTraceStore::rank_event(mpi::Rank rank,
 void SegmentedTraceStore::for_each_rank_event(mpi::Rank rank,
                                               const EventVisitor& visit) const {
   TDBG_CHECK(rank >= 0 && rank < num_ranks_, "rank out of range");
-  const std::size_t nseg = footer_.segments.size();
-  for (std::size_t s = 0; s < nseg; ++s) {
-    const auto& meta = footer_.segments[s];
-    if (meta.ranks[static_cast<std::size_t>(rank)].count == 0) continue;
-    if (s + 1 < nseg &&
-        footer_.segments[s + 1].ranks[static_cast<std::size_t>(rank)].count >
-            0) {
-      maybe_prefetch(s + 1);
-    }
+  const auto r = static_cast<std::size_t>(rank);
+  for (std::size_t s = 0; s < footer_.segments.size(); ++s) {
+    if (footer_.segments[s].ranks[r].count == 0) continue;
     const auto seg = segment(s);
     const std::size_t base = seg_first_index_[s];
-    for (std::uint32_t k : seg->rank_positions[static_cast<std::size_t>(rank)]) {
-      visit(base + k, seg->events[k]);
-    }
+    for (std::uint32_t k : seg->rank_positions[r]) visit(base + k, seg->events[k]);
   }
 }
 

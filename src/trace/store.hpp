@@ -1,6 +1,6 @@
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -28,7 +28,7 @@
 ///   - `InMemoryTraceStore` — the seed behavior: every event in one
 ///     sorted vector plus per-rank index vectors.  Built by the
 ///     collector, by `read_trace`, and by tests.
-///   - `SegmentedTraceStore` — a v2 trace file opened by its footer
+///   - `SegmentedTraceStore` — a v2/v3 trace file opened by its footer
 ///     directory alone.  Event segments are loaded lazily on first
 ///     touch and held in a small LRU cache, so opening a 10M-event
 ///     trace costs O(directory) and a zoomed window query touches only
@@ -157,35 +157,12 @@ class TraceStore {
 
   /// Like `for_each_in_segment`, but the caller promises to read only
   /// the fields selected by `cols` — a columnar backend decodes just
-  /// those columns (leaving the rest value-initialized) and skips the
+  /// those columns (leaving the rest at their defaults) and skips the
   /// decoded-segment cache.  Default: full events.  Thread-safe.
   virtual void for_each_in_segment_cols(std::size_t seg, ColumnSet cols,
                                         const EventVisitor& visit) const {
     (void)cols;
     for_each_in_segment(seg, visit);
-  }
-
-  /// Visits `rank`'s events whose [t_start, t_end] intersects
-  /// [t0, t1], in program order.  The segmented store prunes whole
-  /// segments through the directory (time spans, per-rank counts) and,
-  /// on a v3 file, peeks at the rank/time columns of the surviving
-  /// segments before paying a full decode.
-  virtual void for_each_rank_in_window(mpi::Rank rank, support::TimeNs t0,
-                                       support::TimeNs t1,
-                                       const EventVisitor& visit) const;
-
-  /// Like `for_each_rank_in_window`, but the caller promises to read
-  /// only the fields selected by `cols` (the timeline-zoom shape:
-  /// rank + marker + times).  A columnar backend answers from the
-  /// rank/time probe columns plus `cols` alone, never materializing
-  /// full events; other backends deliver full events.  Thread-safe.
-  virtual void for_each_rank_in_window_cols(mpi::Rank rank,
-                                            support::TimeNs t0,
-                                            support::TimeNs t1,
-                                            ColumnSet cols,
-                                            const EventVisitor& visit) const {
-    (void)cols;
-    for_each_rank_in_window(rank, t0, t1, visit);
   }
 };
 
@@ -234,15 +211,10 @@ class InMemoryTraceStore final : public TraceStore {
   void for_each_in_segment(std::size_t seg,
                            const EventVisitor& visit) const override;
 
-  /// Zero-copy views for the `Trace::events()` / `rank_events()`
-  /// compatibility surface.
-  [[nodiscard]] const std::vector<Event>& events_vector() const {
-    return events_;
-  }
+ private:
   [[nodiscard]] const std::vector<std::size_t>& rank_index(
       mpi::Rank rank) const;
 
- private:
   int num_ranks_ = 0;
   std::vector<Event> events_;
   std::vector<std::vector<std::size_t>> by_rank_;
@@ -259,21 +231,8 @@ struct SegmentCacheStats {
   std::uint64_t loads = 0;
   std::uint64_t hits = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t prefetches = 0;  ///< async segment loads issued
   std::size_t resident_segments = 0;
   std::size_t resident_bytes = 0;
-  // Compressed-blob tier (v3 files only): raw segment blocks kept
-  // resident so repeated decodes skip disk entirely.
-  std::uint64_t blob_loads = 0;  ///< compressed blocks read from disk
-  std::uint64_t blob_hits = 0;   ///< decodes served from resident blocks
-  std::size_t compressed_segments = 0;  ///< blocks resident right now
-  std::size_t compressed_bytes = 0;
-  // Column-projection tier (v3 only): decoded column arrays kept for
-  // repeated narrow queries (window scans); see `projection()`.
-  std::uint64_t projection_loads = 0;  ///< projections decoded
-  std::uint64_t projection_hits = 0;   ///< queries served from a resident one
-  std::size_t projections = 0;         ///< projections resident right now
-  std::size_t projection_bytes = 0;
 };
 
 /// Lazily loads a v2/v3 trace file through its footer directory.
@@ -281,47 +240,41 @@ struct SegmentCacheStats {
 /// Requires a display-sorted stream with monotone per-rank markers
 /// (the writer records both as footer flags) — that is what turns
 /// every query into a directory binary search.  `open_trace` falls
-/// back to the eager reader when the flags are absent.
+/// back to the eager reader when the flags are absent.  The directory
+/// is checked at open: its segments must follow one another from the
+/// header on and end no later than the footer, and a v2 segment's byte
+/// length must match its record count.  Every v3 block read checks the
+/// block's row count, and every segment load the per-rank counts,
+/// against the directory entry.  Each violation is a `FormatError`
+/// naming the file and the segment.
 ///
-/// On a v3 file the store is three-tiered: decoded segments sit in the
-/// LRU below; the *compressed* column blocks are kept in a byte-bounded
-/// LRU of their own (budget: what `cache_segments` decoded segments
-/// would have cost as v2 rows, so the configured memory envelope holds
-/// ~4-6x more trace); and narrow queries additionally keep *column
-/// projections* — the decoded u64 arrays of just the columns a query
-/// touched — in a third byte-bounded LRU.  A projection of four
-/// columns costs 32 bytes/event where a decoded row costs
-/// `sizeof(Event)`, so repeated window queries keep several times more
-/// of the trace decoded-resident than the row cache could.  Column-
-/// pruned scans (`for_each_in_segment_cols`) and the v3 full sweep
-/// (`for_each`) decode straight from the resident blocks into
-/// per-thread scratch and never populate the decoded LRU.
+/// The store has one cache: decoded segments sit in an LRU of
+/// `cache_segments` entries.  Column-pruned scans
+/// (`for_each_in_segment_cols`) and the v3 full sweep (`for_each`)
+/// reuse a segment that is already resident, and otherwise decode the
+/// block one tile at a time straight into the visitor, installing
+/// nothing.
 ///
 /// Thread-safe for any number of concurrent readers:
 ///
-///   - segment IO uses `pread` on a shared descriptor (no seek state),
-///     and decoding runs *outside* the cache lock, so two workers can
-///     load two different segments truly in parallel;
+///   - segment IO uses `pread` on a shared descriptor (no seek state)
+///     into a buffer the reading call owns, and decoding runs
+///     *outside* the cache lock, so two workers can load two different
+///     segments truly in parallel;
 ///   - the LRU index itself sits behind one mutex, held only for
 ///     lookups and installs, with a `shared_future` per in-flight load
 ///     so concurrent misses on the same segment share one read;
 ///   - loaded segments are handed out as `shared_ptr`s (pinned-segment
 ///     refcounts): an eviction drops the cache slot, never the data a
 ///     reader is scanning.
-///
-/// With a multi-thread executor installed, the sequential cursors also
-/// prefetch segment k+1 through `Executor::async` while the caller
-/// consumes segment k — the read-ahead pipeline `TraceOpenOptions::
-/// prefetch` controls.
 class SegmentedTraceStore final : public TraceStore {
  public:
   /// Opens `path`, whose parsed footer the caller already has (from
   /// `try_read_footer`).  `num_ranks` comes from the file header;
-  /// `cache_segments` bounds resident segments (minimum 1);
-  /// `prefetch` enables the sequential read-ahead pipeline.
+  /// `cache_segments` bounds resident segments (minimum 1).  Throws
+  /// `FormatError` when the directory does not describe the file.
   SegmentedTraceStore(std::filesystem::path path, int num_ranks,
-                      wire::Footer footer, std::size_t cache_segments,
-                      bool prefetch = true);
+                      wire::Footer footer, std::size_t cache_segments);
 
   ~SegmentedTraceStore() override;
 
@@ -361,12 +314,6 @@ class SegmentedTraceStore final : public TraceStore {
       std::size_t seg) const override;
   void for_each_in_segment_cols(std::size_t seg, ColumnSet cols,
                                 const EventVisitor& visit) const override;
-  void for_each_rank_in_window(mpi::Rank rank, support::TimeNs t0,
-                               support::TimeNs t1,
-                               const EventVisitor& visit) const override;
-  void for_each_rank_in_window_cols(mpi::Rank rank, support::TimeNs t0,
-                                    support::TimeNs t1, ColumnSet cols,
-                                    const EventVisitor& visit) const override;
   [[nodiscard]] SegmentCacheStats cache_stats() const;
 
  private:
@@ -378,37 +325,21 @@ class SegmentedTraceStore final : public TraceStore {
     std::vector<std::vector<std::uint32_t>> rank_positions;
   };
   using SegmentPtr = std::shared_ptr<const LoadedSegment>;
-  using BlobPtr = std::shared_ptr<const std::vector<std::byte>>;
-
-  /// Decoded logical values of a column subset of one segment, kept
-  /// column-major: `col[c][k]` is row k's field c as a u64 bit pattern
-  /// (signed fields two's-complement).  Only columns in `cols` are
-  /// populated.
-  struct ColumnProjection {
-    ColumnSet cols = 0;
-    std::size_t bytes = 0;
-    std::array<std::vector<std::uint64_t>, wire::kNumColumnsV3> col;
-  };
-  using ProjectionPtr = std::shared_ptr<const ColumnProjection>;
 
   [[nodiscard]] SegmentPtr segment(std::size_t seg) const;
   /// pread + decode of one segment; no lock held.
   [[nodiscard]] SegmentPtr load_segment(std::size_t seg) const;
-  /// The raw bytes of segment `seg`'s on-disk block, through the
-  /// compressed-blob LRU (v3; also used as the read path for v2).
-  [[nodiscard]] BlobPtr blob(std::size_t seg) const;
+  /// Reads segment `seg`'s on-disk block into `block`, a buffer the
+  /// caller owns: a visitor that re-enters the store on the same
+  /// thread cannot overwrite a block that is still being decoded.
+  /// Every v3 read comes through here, and here the block's row count
+  /// is checked against the directory.
+  void read_block(std::size_t seg, std::vector<std::byte>& block) const;
   /// The decoded segment if it is resident right now (LRU-touching),
   /// else null — lets column-pruned scans reuse full decodes for free.
   [[nodiscard]] SegmentPtr resident_segment(std::size_t seg) const;
-  /// The projection of segment `seg` onto `cols` (v3 only), through
-  /// the projection LRU — decoded from the compressed block on a miss.
-  [[nodiscard]] ProjectionPtr projection(std::size_t seg,
-                                         ColumnSet cols) const;
   /// Installs a loaded segment into the LRU (evicting), under mu_.
   void install(std::size_t seg, const SegmentPtr& loaded) const;
-  /// Queues an async load of `seg` if it is absent and a parallel
-  /// executor is available.
-  void maybe_prefetch(std::size_t seg) const;
   [[nodiscard]] std::size_t segment_of_index(std::size_t i) const;
 
   std::filesystem::path path_;
@@ -417,7 +348,6 @@ class SegmentedTraceStore final : public TraceStore {
   support::TimeNs t_min_ = 0;
   support::TimeNs t_max_ = 0;
   std::shared_ptr<const ConstructRegistry> constructs_;
-  bool prefetch_enabled_ = true;
 
   /// Global display index of each segment's first event (size =
   /// segments + 1; last entry = event_count).
@@ -434,36 +364,6 @@ class SegmentedTraceStore final : public TraceStore {
   mutable std::unordered_map<std::size_t, std::shared_future<SegmentPtr>>
       loading_;
   mutable SegmentCacheStats stats_;
-
-  /// Compressed-blob tier (v3): raw segment blocks under their own
-  /// lock so a blob hit never contends with the decoded-segment LRU.
-  std::size_t blob_budget_ = 0;  ///< bytes; 0 disables the tier
-  mutable std::mutex blob_mu_;
-  mutable std::list<std::size_t> blob_lru_;  ///< most recent first
-  mutable std::vector<BlobPtr> blob_cache_;
-  mutable std::size_t blob_bytes_ = 0;
-  mutable std::uint64_t blob_hits_ = 0;
-  mutable std::uint64_t blob_loads_ = 0;
-
-  /// Column-projection tier (v3): decoded column arrays keyed by
-  /// (segment, column set), byte-bounded by what the decoded-row LRU
-  /// is allowed (`cache_segments` segments of `sizeof(Event)` rows).
-  std::size_t proj_budget_ = 0;  ///< bytes; 0 disables the tier
-  mutable std::mutex proj_mu_;
-  mutable std::list<std::pair<std::uint64_t, ProjectionPtr>> proj_lru_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::list<std::pair<std::uint64_t,
-                                                 ProjectionPtr>>::iterator>
-      proj_map_;
-  mutable std::size_t proj_bytes_ = 0;
-  mutable std::uint64_t proj_hits_ = 0;
-  mutable std::uint64_t proj_loads_ = 0;
-
-  /// Outstanding async prefetch tasks; the destructor waits for zero
-  /// before closing fd_.
-  mutable std::mutex prefetch_mu_;
-  mutable std::condition_variable prefetch_cv_;
-  mutable std::size_t prefetch_inflight_ = 0;
 };
 
 }  // namespace tdbg::trace

@@ -24,9 +24,7 @@ Trace::Trace(int num_ranks, std::vector<Event> events,
                                                  std::move(constructs))) {}
 
 Trace::Trace(std::shared_ptr<const TraceStore> store)
-    : store_(std::move(store)),
-      inmem_(dynamic_cast<const InMemoryTraceStore*>(store_.get())),
-      caches_(std::make_shared<Caches>()) {
+    : store_(std::move(store)) {
   TDBG_CHECK(store_ != nullptr, "trace store must not be null");
 }
 
@@ -113,60 +111,11 @@ std::optional<SegmentZones> Trace::segment_zones(std::size_t seg) const {
   return store_->segment_zones(seg);
 }
 
-void Trace::for_each_rank_in_window(mpi::Rank rank, support::TimeNs t0,
-                                    support::TimeNs t1,
-                                    const EventVisitor& visit) const {
-  TDBG_CHECK(store_ != nullptr, "empty trace");
-  store_->for_each_rank_in_window(rank, t0, t1, visit);
-}
-
-void Trace::for_each_rank_in_window_cols(mpi::Rank rank, support::TimeNs t0,
-                                         support::TimeNs t1, ColumnSet cols,
-                                         const EventVisitor& visit) const {
-  TDBG_CHECK(store_ != nullptr, "empty trace");
-  store_->for_each_rank_in_window_cols(rank, t0, t1, cols, visit);
-}
-
 void Trace::parallel_for_each_segment(
     std::string_view site,
     const std::function<void(std::size_t seg)>& body) const {
   if (!store_) return;
   exec::Executor::global().parallel_for(store_->segment_count(), site, body);
-}
-
-const std::vector<Event>& Trace::events() const {
-  static const std::vector<Event> kNoEvents;
-  if (!store_) return kNoEvents;
-  if (inmem_) return inmem_->events_vector();
-  std::lock_guard lk(caches_->mu);
-  if (!caches_->events) {
-    std::vector<Event> all;
-    all.reserve(store_->size());
-    store_->for_each(
-        [&all](std::size_t, const Event& e) { all.push_back(e); });
-    caches_->events = std::move(all);
-  }
-  return *caches_->events;
-}
-
-const std::vector<std::size_t>& Trace::rank_events(mpi::Rank rank) const {
-  TDBG_CHECK(store_ != nullptr, "empty trace");
-  if (inmem_) return inmem_->rank_index(rank);
-  TDBG_CHECK(rank >= 0 && rank < store_->num_ranks(), "rank out of range");
-  std::lock_guard lk(caches_->mu);
-  auto& slots = caches_->rank_index;
-  if (slots.size() < static_cast<std::size_t>(store_->num_ranks())) {
-    slots.resize(static_cast<std::size_t>(store_->num_ranks()));
-  }
-  auto& slot = slots[static_cast<std::size_t>(rank)];
-  if (!slot) {
-    std::vector<std::size_t> idx;
-    idx.reserve(store_->rank_size(rank));
-    store_->for_each_rank_event(
-        rank, [&idx](std::size_t i, const Event&) { idx.push_back(i); });
-    slot = std::move(idx);
-  }
-  return *slot;
 }
 
 }  // namespace tdbg::trace

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -100,18 +99,17 @@ struct EventColumns {
 ///
 /// `Trace` is a query facade over a `TraceStore` backend — either the
 /// eager in-memory vector (collector output, v1 files) or the lazy
-/// segmented store (v2 files opened by footer).  Events are addressed
+/// segmented store (v2/v3 files opened by footer).  Events are addressed
 /// by global display order (start time, ties by rank then marker);
 /// each rank's program order is exposed through `rank_event` /
 /// `for_each_rank_event`.  All correctness-critical queries (markers,
 /// matching) use per-rank order and sequence numbers, never wall time.
 ///
-/// Prefer the cursor/range queries (`for_each_event`,
+/// Every query is a cursor or range query (`for_each_event`,
 /// `for_each_rank_event`, `for_each_in_window`, `events_in_window`,
-/// `find_marker`, `last_event_at_or_before`) — they never force full
-/// materialization on a lazy backend.  `events()` / `rank_events()`
-/// remain as compatibility escape hatches that materialize (and cache)
-/// the whole stream on a segmented store.
+/// `find_marker`, `last_event_at_or_before`), so none forces full
+/// materialization on a lazy backend.  Whole-trace indexes, such as
+/// each rank's program order, are `analysis::Session` artifacts.
 class Trace {
  public:
   Trace() = default;
@@ -137,7 +135,10 @@ class Trace {
 
   /// True when the backend loads segments lazily instead of holding
   /// every event in memory.
-  [[nodiscard]] bool is_lazy() const { return store_ && inmem_ == nullptr; }
+  [[nodiscard]] bool is_lazy() const {
+    return store_ &&
+           dynamic_cast<const InMemoryTraceStore*>(store_.get()) == nullptr;
+  }
 
   /// The storage backend (null for a default-constructed trace).
   [[nodiscard]] const std::shared_ptr<const TraceStore>& store() const {
@@ -230,29 +231,8 @@ class Trace {
   [[nodiscard]] std::optional<SegmentZones> segment_zones(
       std::size_t seg) const;
 
-  /// Visits `rank`'s events whose [t_start, t_end] intersects
-  /// [t0, t1], in program order.  A segmented backend prunes whole
-  /// segments via the directory and, on a v3 file, probes the
-  /// rank/time columns before paying a full decode.
-  void for_each_rank_in_window(mpi::Rank rank, support::TimeNs t0,
-                               support::TimeNs t1,
-                               const EventVisitor& visit) const;
-
-  /// Column-restricted variant of `for_each_rank_in_window`: the
-  /// caller promises to read only the fields named by `cols` (plus
-  /// rank and times, which the predicate needs anyway).  On a v3 file
-  /// the backend decodes just those columns — a timeline zoom touching
-  /// rank/marker/times reads a few bytes per event instead of the full
-  /// row.  Other backends deliver full events; either way the visited
-  /// index/field pairs for the selected columns are identical.
-  void for_each_rank_in_window_cols(mpi::Rank rank, support::TimeNs t0,
-                                    support::TimeNs t1, ColumnSet cols,
-                                    const EventVisitor& visit) const;
-
   /// Runs `body(seg)` for every segment on the analysis pool.  `site`
-  /// tags the telemetry spans and `exec.tasks.<site>` counter.  Bodies
-  /// must not touch this trace's memoized getters (`events`,
-  /// `rank_events`).
+  /// tags the telemetry spans and `exec.tasks.<site>` counter.
   void parallel_for_each_segment(
       std::string_view site,
       const std::function<void(std::size_t seg)>& body) const;
@@ -275,32 +255,8 @@ class Trace {
     return acc;
   }
 
-  /// Compatibility: the full event vector in display order.  On a
-  /// segmented backend this materializes (once, cached) — prefer the
-  /// cursor queries above.
-  [[nodiscard]] const std::vector<Event>& events() const;
-
-  /// Compatibility: event indices of one rank, in that rank's program
-  /// order.  Materialized lazily (once, cached) on a segmented
-  /// backend.
-  [[nodiscard]] const std::vector<std::size_t>& rank_events(
-      mpi::Rank rank) const;
-
  private:
-  /// Lazily computed compatibility caches, shared across copies of the
-  /// facade.  Analysis results are NOT cached here — that is
-  /// `analysis::Session`'s job; the trace is a pure storage facade.
-  struct Caches {
-    std::mutex mu;
-    std::optional<std::vector<Event>> events;
-    std::vector<std::optional<std::vector<std::size_t>>> rank_index;
-  };
-
   std::shared_ptr<const TraceStore> store_;
-  /// Fast path: non-null when the backend is the in-memory store, so
-  /// `events()` / `rank_events()` stay zero-copy.
-  const InMemoryTraceStore* inmem_ = nullptr;
-  std::shared_ptr<Caches> caches_;
 };
 
 }  // namespace tdbg::trace

@@ -298,7 +298,6 @@ Trace read_binary_v3(const std::vector<std::byte>& bytes,
   const auto num_ranks = r.get<std::int32_t>();
   std::vector<Event> events;
   std::vector<Event> seg_events;
-  std::vector<std::uint64_t> scratch;
   bool saw_end = false;
   std::size_t seg = 0;
   while (!r.exhausted()) {
@@ -311,9 +310,9 @@ Trace read_binary_v3(const std::vector<std::byte>& bytes,
     if (tag != wire::kRecordSegment) {
       throw FormatError("unknown record tag in trace file " + path.string());
     }
-    const auto res = columnar::decode_segment(
-        std::span(bytes).subspan(r.position()), columnar::kAllColumns,
-        num_ranks, seg_events, scratch, path, seg);
+    const auto res =
+        columnar::decode_segment(std::span(bytes).subspan(r.position()),
+                                 num_ranks, seg_events, path, seg);
     events.insert(events.end(), seg_events.begin(), seg_events.end());
     r.seek(r.position() + static_cast<std::size_t>(res.block_len));
     ++seg;
@@ -458,6 +457,7 @@ std::optional<TraceFooter> try_read_footer(const std::filesystem::path& path) {
     support::BinaryReader r(footer_bytes);
     TraceFooter result;
     result.num_ranks = num_ranks;
+    result.footer.offset = footer_offset;
     if (r.get<std::uint8_t>() != wire::kRecordEnd) {
       throw FormatError("footer does not start with the construct table");
     }
@@ -488,7 +488,7 @@ Trace open_trace(const std::filesystem::path& path,
       footer->footer.rank_markers_monotone()) {
     return Trace(std::make_shared<SegmentedTraceStore>(
         path, footer->num_ranks, std::move(footer->footer),
-        options.cache_segments, options.prefetch));
+        options.cache_segments));
   }
   // v1, text, footerless prefix, or an unsorted stream: the directory
   // binary searches would be wrong, so fall back to the eager store.

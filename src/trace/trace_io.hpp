@@ -124,16 +124,13 @@ Trace read_trace(const std::filesystem::path& path);
 struct TraceOpenOptions {
   /// Max segments the lazy store keeps resident (LRU).
   std::size_t cache_segments = 8;
-  /// Read-ahead pipeline: while a sequential cursor consumes segment
-  /// k, segment k+1 is loaded and decoded on the analysis pool.  A
-  /// no-op when the pool is serial.
-  bool prefetch = true;
 };
 
-/// Opens a trace for querying.  A v2 file whose footer marks the
+/// Opens a trace for querying.  A v2/v3 file whose footer marks the
 /// stream as display-sorted with monotone per-rank markers is opened
-/// lazily through a `SegmentedTraceStore` in O(footer) time; anything
-/// else falls back to `read_trace`.
+/// lazily through a `SegmentedTraceStore` in O(footer) time (a
+/// directory that does not describe the file is a `FormatError`);
+/// anything else falls back to `read_trace`.
 Trace open_trace(const std::filesystem::path& path,
                  const TraceOpenOptions& options = {});
 

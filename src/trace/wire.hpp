@@ -164,6 +164,9 @@ struct Footer {
   std::uint64_t event_count = 0;
   std::vector<SegmentMeta> segments;
   std::vector<ConstructInfo> constructs;
+  /// File offset of the footer itself: where the event region ends.
+  /// Filled in by the reader from the trailer; not encoded.
+  std::uint64_t offset = 0;
 
   [[nodiscard]] bool display_sorted() const {
     return (flags & kFlagDisplaySorted) != 0;

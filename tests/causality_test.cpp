@@ -216,7 +216,7 @@ TEST_P(FrontierPropertyTest, LuFrontiersAreSoundAndTight) {
     const auto past = order.past_frontier(e);
     const auto future = order.future_frontier(e);
     for (mpi::Rank r = 0; r < 8; ++r) {
-      const auto& seq = rec.trace.rank_events(r);
+      const auto& seq = session.rank_index().seq[static_cast<std::size_t>(r)];
       const auto& pf = past[static_cast<std::size_t>(r)];
       const auto& ff = future[static_cast<std::size_t>(r)];
       // Soundness: frontier events are ordered with e.

@@ -5,9 +5,11 @@
 //   * conversion chains v3 <-> v2 <-> v1 <-> text, including the
 //     v2 -> v3 -> v2 byte-identity contract,
 //   * truncated/corrupted v3 blocks raise FormatError naming the
-//     segment and the column (hand-corrupted regression),
+//     segment and the column (hand-corrupted regression), and so does a
+//     directory that does not describe the file,
 //   * zone-map skipping and column pruning advance the trace.decode.*
-//     counters without changing any query result,
+//     counters without changing any query result, and a v3 sweep or
+//     column scan installs nothing in the segment cache,
 //   * analysis artifacts (matching, traffic, comm graph, races,
 //     critical path, past frontiers, action/trace/call graph DOT) are
 //     byte-identical on the storm, deadlock_ring and strassen workloads
@@ -20,10 +22,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,10 +44,12 @@
 #include "support/error.hpp"
 #include "support/executor.hpp"
 #include "support/rng.hpp"
+#include "support/serialize.hpp"
 #include "trace/columnar.hpp"
 #include "trace/store.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
+#include "trace/wire.hpp"
 
 namespace tdbg {
 namespace {
@@ -157,8 +164,14 @@ TEST(ColumnarTest, V3RoundTripEagerAndLazy) {
   expect_same_trace(original, lazy);
 
   // Per-rank program order survives the columnar round-trip.
+  const auto rank_order = [](const trace::Trace& t, mpi::Rank r) {
+    std::vector<std::size_t> seq;
+    t.for_each_rank_event(
+        r, [&seq](std::size_t i, const trace::Event&) { seq.push_back(i); });
+    return seq;
+  };
   for (mpi::Rank r = 0; r < original.num_ranks(); ++r) {
-    EXPECT_EQ(original.rank_events(r), lazy.rank_events(r)) << "rank " << r;
+    EXPECT_EQ(rank_order(original, r), rank_order(lazy, r)) << "rank " << r;
   }
 }
 
@@ -338,6 +351,128 @@ TEST(ColumnarTest, CorruptEncodingByteNamesColumn) {
   }
 }
 
+/// Re-encodes `path`'s footer after `edit` has changed its directory;
+/// the bytes before the footer stay as written.
+void rewrite_directory(const std::filesystem::path& path,
+                       const std::function<void(trace::wire::Footer&)>& edit) {
+  auto parsed = trace::try_read_footer(path);
+  ASSERT_TRUE(parsed.has_value());
+  auto& footer = parsed->footer;
+  const std::uint64_t offset = footer.offset;
+  edit(footer);
+  support::BinaryWriter w;
+  trace::wire::encode_construct_table(w, footer.constructs);
+  const char* magic = trace::wire::kFooterMagic;
+  if (footer.version == 3) {
+    trace::wire::encode_directory_v3(w, footer);
+    magic = trace::wire::kFooterMagicV3;
+  } else {
+    trace::wire::encode_directory(w, footer);
+  }
+  w.put<std::uint64_t>(offset);
+  w.put_raw(std::as_bytes(std::span(magic, sizeof trace::wire::kFooterMagic)));
+  auto bytes = slurp(path);
+  bytes.resize(offset);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.write(reinterpret_cast<const char*>(w.bytes().data()),
+            static_cast<std::streamsize>(w.size()));
+}
+
+/// Runs `read` and expects a FormatError naming `path` and segment `seg`.
+void expect_directory_error(const std::filesystem::path& path,
+                            std::size_t seg,
+                            const std::function<void()>& read) {
+  try {
+    read();
+    ADD_FAILURE() << "expected FormatError";
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("segment " + std::to_string(seg)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+  }
+}
+
+TEST(ColumnarTest, DirectoryCountShortOfBlockIsFormatError) {
+  // The last segment's directory count (and the event total) one short
+  // of what its block holds: every read of that block must refuse it
+  // rather than hand a visitor an index past size().
+  const auto original = synth_trace(1000, 4, /*seed=*/101);
+  TempFile file;
+  trace::write_trace(file.path(), original, trace::TraceFormat::kBinaryV3,
+                     /*segment_events=*/256);
+  rewrite_directory(file.path(), [](trace::wire::Footer& f) {
+    --f.segments.back().count;
+    --f.event_count;
+  });
+  const auto lazy = trace::open_trace(file.path());
+  ASSERT_TRUE(lazy.is_lazy());
+  ASSERT_EQ(lazy.size(), original.size() - 1);
+  const std::size_t last = lazy.segment_count() - 1;
+  const auto ignore = [](std::size_t, const trace::Event&) {};
+  expect_directory_error(file.path(), last, [&] {
+    lazy.for_each_in_segment_cols(last, trace::kColRank, ignore);
+  });
+  expect_directory_error(file.path(), last,
+                         [&] { lazy.for_each_event(ignore); });
+  expect_directory_error(file.path(), last,
+                         [&] { (void)lazy.event(lazy.size() - 1); });
+}
+
+TEST(ColumnarTest, DirectoryRankCountMismatchIsFormatError) {
+  // Segment 0's per-rank counts moved by one between two ranks (the
+  // totals still agree): a program-order lookup must not index past the
+  // rank's events in the block.
+  const auto original = synth_trace(1000, 4, /*seed=*/109);
+  TempFile file;
+  trace::write_trace(file.path(), original, trace::TraceFormat::kBinaryV3,
+                     /*segment_events=*/256);
+  std::uint64_t rank0_count = 0;
+  rewrite_directory(file.path(), [&](trace::wire::Footer& f) {
+    auto& ranks = f.segments[0].ranks;
+    ASSERT_GT(ranks[1].count, 0u);
+    rank0_count = ranks[0].count++;
+    --ranks[1].count;
+  });
+  const auto lazy = trace::open_trace(file.path());
+  ASSERT_TRUE(lazy.is_lazy());
+  expect_directory_error(file.path(), 0, [&] {
+    (void)lazy.rank_event(0, static_cast<std::size_t>(rank0_count));
+  });
+}
+
+TEST(ColumnarTest, SegmentPastFooterIsFormatError) {
+  // A byte length of 2^44 must fail at open, not as an allocation on
+  // the first read.
+  const auto original = synth_trace(1000, 4, /*seed=*/103);
+  TempFile file;
+  trace::write_trace(file.path(), original, trace::TraceFormat::kBinaryV3,
+                     /*segment_events=*/256);
+  std::size_t last = 0;
+  rewrite_directory(file.path(), [&](trace::wire::Footer& f) {
+    f.segments.back().byte_len = std::uint64_t{1} << 44;
+    last = f.segments.size() - 1;
+  });
+  expect_directory_error(file.path(), last,
+                         [&] { (void)trace::open_trace(file.path()); });
+}
+
+TEST(ColumnarTest, V2SegmentLengthMismatchIsFormatError) {
+  // A v2 segment one record shorter than its count claims.
+  const auto original = synth_trace(1000, 4, /*seed=*/107);
+  TempFile file;
+  trace::write_trace(file.path(), original, trace::TraceFormat::kBinary,
+                     /*segment_events=*/256);
+  std::size_t last = 0;
+  rewrite_directory(file.path(), [&](trace::wire::Footer& f) {
+    f.segments.back().byte_len -= trace::wire::kEventRecordBytes;
+    last = f.segments.size() - 1;
+  });
+  expect_directory_error(file.path(), last,
+                         [&] { (void)trace::open_trace(file.path()); });
+}
+
 // --- zone maps, column pruning, counters -----------------------------------
 
 TEST(ColumnarTest, QueriesMatchEagerAcrossVersionsAndCountersAdvance) {
@@ -356,27 +491,20 @@ TEST(ColumnarTest, QueriesMatchEagerAcrossVersionsAndCountersAdvance) {
     EXPECT_NE(zones->rank_mask, 0u);
     EXPECT_NE(zones->kind_mask, 0u);
 
-    // Rank-window queries match the brute-force in-memory reference.
+    // Window queries (the server's `window` op) match the in-memory
+    // reference.
     const auto t_hi = original.t_max();
     const auto skipped_before =
         reg.counter("trace.decode.segments_skipped").total();
-    for (mpi::Rank r = 0; r < original.num_ranks(); ++r) {
-      for (const auto& [t0, t1] :
-           std::vector<std::pair<support::TimeNs, support::TimeNs>>{
-               {t_hi - 500, t_hi},
-               {0, 500},
-               {t_hi / 2, t_hi / 2 + 1000},
-               {0, t_hi}}) {
-        std::vector<std::size_t> got, want;
-        lazy.for_each_rank_in_window(
-            r, t0, t1,
-            [&](std::size_t i, const trace::Event&) { got.push_back(i); });
-        original.for_each_rank_in_window(
-            r, t0, t1,
-            [&](std::size_t i, const trace::Event&) { want.push_back(i); });
-        EXPECT_EQ(got, want) << "rank " << r << " window [" << t0 << ", "
-                             << t1 << "]";
-      }
+    for (const auto& [t0, t1] :
+         std::vector<std::pair<support::TimeNs, support::TimeNs>>{
+             {t_hi - 500, t_hi},
+             {0, 500},
+             {t_hi / 2, t_hi / 2 + 1000},
+             {0, t_hi}}) {
+      EXPECT_EQ(lazy.events_in_window(t0, t1),
+                original.events_in_window(t0, t1))
+          << "window [" << t0 << ", " << t1 << "]";
     }
     // The late windows skip every early segment via the directory
     // (counters compile to no-ops under TDBG_METRICS=OFF).
@@ -394,6 +522,7 @@ TEST(ColumnarTest, ColumnPruningCountsSkippedColumns) {
                      /*segment_events=*/256);
   const auto lazy = trace::open_trace(file.path());
   ASSERT_TRUE(lazy.is_lazy());
+  exec::ScopedExecutor pool(4);
 
   auto& reg = obs::MetricsRegistry::global();
   const auto cols_before = reg.counter("trace.decode.columns_skipped").total();
@@ -417,13 +546,24 @@ TEST(ColumnarTest, ColumnPruningCountsSkippedColumns) {
     EXPECT_GT(reg.counter("trace.decode.decoded_bytes").total(), bytes_before);
   }
 
-  // The compressed tier kept the blob resident.
+  // A v3 sweep and column scans of every segment, on a parallel pool,
+  // decode straight into their visitors and install nothing.
+  std::size_t swept = 0;
+  lazy.for_each_event([&](std::size_t, const trace::Event&) { ++swept; });
+  EXPECT_EQ(swept, original.size());
+  std::atomic<std::size_t> scanned{0};
+  lazy.parallel_for_each_segment("test.cols", [&](std::size_t seg) {
+    lazy.for_each_in_segment_cols(
+        seg, trace::kColKind | trace::kColTStart,
+        [&](std::size_t, const trace::Event&) { scanned.fetch_add(1); });
+  });
+  EXPECT_EQ(scanned.load(), original.size());
   const auto* seg_store = dynamic_cast<const trace::SegmentedTraceStore*>(
       lazy.store().get());
   ASSERT_NE(seg_store, nullptr);
   const auto stats = seg_store->cache_stats();
-  EXPECT_GT(stats.compressed_segments, 0u);
-  EXPECT_GT(stats.compressed_bytes, 0u);
+  EXPECT_EQ(stats.loads, 0u);
+  EXPECT_EQ(stats.resident_segments, 0u);
 }
 
 // --- workload artifact identity --------------------------------------------

@@ -81,7 +81,7 @@ TEST(DebuggerTest, Figure7WorkflowFindsWrongSendDestination) {
   // ("set a stopline somewhere before the first send in the group").
   const auto& trace = dbg.trace();
   std::optional<std::size_t> first_send;
-  for (std::size_t i : trace.rank_events(0)) {
+  for (std::size_t i : dbg.session().rank_index().seq[0]) {
     const auto& e = trace.event(i);
     if (e.kind == trace::EventKind::kEnter &&
         trace.constructs().info(e.construct).name == "MatrSend") {
@@ -199,7 +199,7 @@ TEST(DebuggerTest, StoplinesFromFrontiers) {
   // Pick a mid-trace receive on rank 0.
   const auto& trace = dbg.trace();
   std::optional<std::size_t> target;
-  for (std::size_t i : trace.rank_events(0)) {
+  for (std::size_t i : dbg.session().rank_index().seq[0]) {
     if (trace.event(i).kind == trace::EventKind::kRecv) target = i;
   }
   ASSERT_TRUE(target.has_value());
@@ -283,7 +283,7 @@ TEST(DebuggerTest, LiveLaunchCapturesWildcardLogForExactReplay) {
   // trace: the replayed receives must name the same sources in the
   // same order.
   std::vector<mpi::Rank> recorded_sources;
-  for (std::size_t i : dbg.trace().rank_events(0)) {
+  for (std::size_t i : dbg.session().rank_index().seq[0]) {
     const auto& e = dbg.trace().event(i);
     if (e.kind == trace::EventKind::kRecv) recorded_sources.push_back(e.peer);
   }
@@ -319,7 +319,7 @@ TEST(DebuggerTest, PostMortemSessionAnalyzesWithoutReplay) {
   EXPECT_FALSE(post.diagram().to_svg().empty());
   // Frontier stoplines can still be *computed* (they are pure history
   // analysis); only re-execution is unavailable.
-  const auto& seq = post.trace().rank_events(0);
+  const auto& seq = post.session().rank_index().seq[0];
   const auto line = post.stopline_past_frontier(seq[seq.size() / 2]);
   EXPECT_EQ(line.thresholds.size(), 8u);
   EXPECT_THROW(post.replay_to(line), Error);

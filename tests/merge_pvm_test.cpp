@@ -25,7 +25,7 @@ TEST(MergeTest, SplitThenMergeRoundTrips) {
   ASSERT_EQ(parts.size(), 4u);
   for (mpi::Rank r = 0; r < 4; ++r) {
     EXPECT_EQ(parts[static_cast<std::size_t>(r)].size(),
-              rec.trace.rank_events(r).size());
+              rec.trace.rank_size(r));
   }
 
   const auto merged = trace::merge_traces(parts);
@@ -62,7 +62,7 @@ TEST(MergeTest, DistinctConstructTablesRemap) {
   ASSERT_EQ(merged.size(), 2u);
   const auto name_of = [&](mpi::Rank r) {
     return merged.constructs()
-        .info(merged.event(merged.rank_events(r)[0]).construct)
+        .info(merged.event(merged.rank_event(r, 0)).construct)
         .name;
   };
   EXPECT_EQ(name_of(0), "alpha");

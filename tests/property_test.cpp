@@ -172,7 +172,7 @@ TEST_P(CausalityInvariants, ProgramOrderIsRespected) {
   analysis::Session session(rec.trace);
   const auto& order = session.causal_order();
   for (mpi::Rank r = 0; r < rec.trace.num_ranks(); ++r) {
-    const auto& seq = rec.trace.rank_events(r);
+    const auto& seq = session.rank_index().seq[static_cast<std::size_t>(r)];
     for (std::size_t i = 1; i < seq.size(); ++i) {
       EXPECT_TRUE(order.happens_before(seq[i - 1], seq[i]));
     }

@@ -700,7 +700,6 @@ TEST(TraceCacheMetricsTest, SegmentCacheCountersExported) {
 
   trace::TraceOpenOptions open_options;
   open_options.cache_segments = 2;
-  open_options.prefetch = false;
   const auto trace = trace::open_trace(path, open_options);
   ASSERT_GT(trace.segment_count(), 4u);
   trace.for_each_event([](std::size_t, const trace::Event&) {});

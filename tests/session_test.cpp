@@ -245,13 +245,23 @@ std::vector<LegacyRankTotals> legacy_rank_totals(
 
 // --- independent oracles ---------------------------------------------------
 
-/// Successor lists of the message DAG, from the trace facade's legacy
-/// per-rank builder plus the match edges.
+/// Rank `r`'s display indices in program order, collected from the
+/// store's own cursor so the oracles stay independent of the Session.
+std::vector<std::size_t> store_rank_order(const trace::Trace& trace,
+                                          mpi::Rank r) {
+  std::vector<std::size_t> seq;
+  trace.for_each_rank_event(
+      r, [&seq](std::size_t i, const trace::Event&) { seq.push_back(i); });
+  return seq;
+}
+
+/// Successor lists of the message DAG, from the store's per-rank
+/// cursor plus the match edges.
 std::vector<std::vector<std::size_t>> dag_successors(
     const trace::Trace& trace, const trace::MatchReport& report) {
   std::vector<std::vector<std::size_t>> succ(trace.size());
   for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    const auto& seq = trace.rank_events(r);
+    const auto seq = store_rank_order(trace, r);
     for (std::size_t k = 1; k < seq.size(); ++k) {
       succ[seq[k - 1]].push_back(seq[k]);
     }
@@ -290,7 +300,7 @@ support::TimeNs kahn_longest_path(const trace::Trace& trace,
   std::vector<support::TimeNs> weight(n, 0);
   for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
     std::vector<std::size_t> open;  // enclosing intervals, innermost last
-    for (const std::size_t i : trace.rank_events(r)) {
+    for (const std::size_t i : store_rank_order(trace, r)) {
       const auto e = trace.event(i);
       const auto raw = std::max<support::TimeNs>(0, e.t_end - e.t_start);
       weight[i] = raw;
@@ -350,12 +360,12 @@ void expect_fused_equals_legacy(const trace::Trace& trace,
   const auto& report = session.match_report();
   expect_match_reports_equal(report, legacy_match(trace));
 
-  // Rank index: the shared artifact == the trace facade's legacy
-  // per-rank builder (`rank_events`).
+  // Rank index: the shared artifact == the store's per-rank cursor.
   const auto& index = session.rank_index();
   ASSERT_EQ(index.seq.size(), static_cast<std::size_t>(trace.num_ranks()));
   for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    EXPECT_EQ(index.seq[static_cast<std::size_t>(r)], trace.rank_events(r))
+    EXPECT_EQ(index.seq[static_cast<std::size_t>(r)],
+              store_rank_order(trace, r))
         << "rank " << r;
   }
 

@@ -58,7 +58,7 @@ TEST(TimelineTest, FrontierOverlayDrawsPolylines) {
   analysis::Session session(rec.trace);
   const auto& order = session.causal_order();
   // Mid-trace event on rank 0.
-  const auto& seq = rec.trace.rank_events(0);
+  const auto& seq = session.rank_index().seq[0];
   const auto target = seq[seq.size() / 2];
   Overlay overlay;
   overlay.selected_event = target;
