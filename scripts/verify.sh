@@ -11,7 +11,10 @@
 #   tsan         -DTDBG_TSAN=ON                    — ThreadSanitizer build;
 #                runs the concurrency-heavy suites
 #                (ctest -L "mpi|trace|perf|fault|telemetry|exec|session|server")
-#                and must report zero races — the fault label covers the
+#                and must report zero races — the mpi label includes the
+#                replay and debugger suites, so the replay driver's wait
+#                on the wait registry and breakpoint stop/resume run
+#                here; the fault label covers the
 #                injection seams, which perturb the hot path from extra
 #                threadside angles; telemetry covers the flight-recorder
 #                seqlock rings and the health heartbeat; exec covers the
@@ -34,7 +37,10 @@
 #                          everything else consumes Session artifacts;
 #                          no per-rank store walk in src/analysis,
 #                          src/causality or src/graph except the
-#                          trace graph's zoom-back rescan)
+#                          trace graph's zoom-back rescan; no sleep in
+#                          the runtime's quiescence check or in
+#                          src/replay, which block on the wait
+#                          registry instead of sampling)
 #   - ctest -L obs        (the obs label must select the obs suite)
 #   - abl_pass_fusion     (asserts fused-sweep ≥2x cpu-time over the
 #                          N-scan baseline and incremental ≥10x over
@@ -131,6 +137,15 @@ walks="$(find "$repo/src/analysis" "$repo/src/causality" "$repo/src/graph" \
 if [[ -n "$walks" ]]; then
   echo "FAIL: per-rank store walk in an analysis pass:" >&2
   echo "$walks" >&2
+  exit 1
+fi
+# Deadlock detection and replay stops block on the wait registry, which
+# is exact; a sleep here would be a sampling loop.
+sleeps="$(grep -rnE 'sleep_(for|until)' "$repo/src/mpi/runtime.cpp" \
+            "$repo/src/mpi/wait_registry."* "$repo/src/replay" || true)"
+if [[ -n "$sleeps" ]]; then
+  echo "FAIL: sleep in the quiescence check or the replay driver:" >&2
+  echo "$sleeps" >&2
   exit 1
 fi
 echo "grep gate OK"

@@ -10,7 +10,7 @@
 
 /// \file hang.hpp
 /// Graceful degradation for killed runs: when a fault (an injected
-/// crash, a held message) stops a run from completing, the watchdog
+/// crash, a held message) stops a run from completing, the runtime
 /// has already converted the hang into an aborted `RunResult`; this
 /// turns that result plus the partial trace into a structured
 /// diagnosis — which rank died or blocked where, what each rank last
@@ -46,7 +46,7 @@ struct HangDiagnosis {
   std::filesystem::path partial_trace;
 
   /// Tail of the flight recorder at diagnosis time — the black box's
-  /// last words (injected holds, stall warnings, the watchdog verdict).
+  /// last words (injected holds, stall warnings, the deadlock verdict).
   std::string flight_log;
 
   [[nodiscard]] std::string describe() const;

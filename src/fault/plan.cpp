@@ -61,7 +61,7 @@ FaultPlan FaultPlan::named(std::string_view name, std::uint64_t seed) {
   if (name == "deadlock_ring") {
     // Rank 0 holds every send: in a ring each rank blocks receiving
     // from its predecessor, closing a genuine wait-for cycle the
-    // watchdog + deadlock detector must name.
+    // runtime + deadlock explainer must name.
     FaultRule r;
     r.kind = FaultKind::kDelay;
     r.rate = 1.0;

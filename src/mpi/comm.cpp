@@ -34,18 +34,20 @@ namespace {
 /// so collective traffic can never match a user receive.
 constexpr Tag kCollectiveTagBase = kMaxUserTag + 1;
 
-/// RAII wrapper so a wait registration is undone even if the wait
-/// throws `Aborted`.
-class WaitScope {
+/// RAII ssend park: registers the sender unless its ticket is already
+/// matched.  The matching receiver ends the wait; if the run aborts
+/// first, the sender ends it itself.
+class SsendWaitScope {
  public:
-  WaitScope(WaitRegistry& reg, Rank rank, WaitKind kind, Rank peer, Tag tag)
+  SsendWaitScope(WaitRegistry& reg, Rank rank, Rank dest, Tag tag,
+                 std::uint64_t ticket)
       : reg_(reg), rank_(rank) {
-    reg_.enter_wait(rank_, kind, peer, tag);
+    reg_.enter_ssend_wait(rank_, dest, tag, ticket);
   }
-  ~WaitScope() { reg_.exit_wait(rank_); }
+  ~SsendWaitScope() { reg_.wake(rank_, WaitKind::kSsend); }
 
-  WaitScope(const WaitScope&) = delete;
-  WaitScope& operator=(const WaitScope&) = delete;
+  SsendWaitScope(const SsendWaitScope&) = delete;
+  SsendWaitScope& operator=(const SsendWaitScope&) = delete;
 
  private:
   WaitRegistry& reg_;
@@ -99,9 +101,10 @@ void Comm::pmpi_ssend(std::span<const std::byte> data, Rank dest, Tag tag) {
   check_rank(dest, size(), /*allow_any=*/false);
   // A rank has at most one ssend outstanding (the call blocks), so the
   // rendezvous needs no per-message completion handle: the receiver
-  // stores this ticket into the sender's world-owned slot, and the
-  // sender waits for the slot to catch up.  No allocation, and no
-  // lifetime race on abort — the slot outlives the call.
+  // records this ticket as matched in the wait registry's slot for
+  // this rank, and the sender waits for the slot to catch up.  No
+  // allocation, and no lifetime race on abort — the slot outlives the
+  // call.
   const std::uint64_t ticket = ++ssend_seq_;
   Message msg;
   msg.source = rank_;
@@ -120,8 +123,7 @@ void Comm::pmpi_ssend(std::span<const std::byte> data, Rank dest, Tag tag) {
     world_->mailbox(dest).deliver(std::move(msg));
   }
 
-  auto& slot =
-      world_->shared().ssend_slots[static_cast<std::size_t>(rank_)].done_seq;
+  WaitRegistry& registry = world_->shared().registry;
   // Fast path: rendezvous with an already-posted (or spinning)
   // receiver completes in a few microseconds — spin before paying for
   // a sleep/wake cycle.  On a single-CPU host spinning is useless
@@ -132,17 +134,17 @@ void Comm::pmpi_ssend(std::span<const std::byte> data, Rank dest, Tag tag) {
   static const int kSpin =
       std::thread::hardware_concurrency() > 1 ? 8192 : 0;
   for (int i = 0; i < kSpin; ++i) {
-    if (slot.load(std::memory_order_acquire) >= ticket) return;
+    if (registry.ssend_matched(rank_, ticket)) return;
   }
   for (int i = 0; i < 64; ++i) {
     std::this_thread::yield();
-    if (slot.load(std::memory_order_acquire) >= ticket) return;
+    if (registry.ssend_matched(rank_, ticket)) return;
   }
-  // Slow path: poll with backoff.  The abort flag is checked each
-  // round so a deadlocked ssend can be unwound by the watchdog.
-  WaitScope ws(world_->shared().registry, rank_, WaitKind::kSsend, dest, tag);
+  // Slow path: park in the wait registry and poll with backoff.  The
+  // abort flag is checked each round so a deadlocked ssend unwinds.
+  SsendWaitScope ws(registry, rank_, dest, tag, ticket);
   auto delay = std::chrono::microseconds(10);
-  while (slot.load(std::memory_order_acquire) < ticket) {
+  while (!registry.ssend_matched(rank_, ticket)) {
     if (world_->shared().aborted.load(std::memory_order_acquire)) {
       throw Aborted{};
     }

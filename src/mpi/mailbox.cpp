@@ -38,7 +38,7 @@ MailboxMetrics& mailbox_metrics() {
 /// dirty mask for a few microseconds, because rendezvous with an
 /// imminent sender is far cheaper caught spinning than through a
 /// futex sleep/wake.  Bounded, so a genuinely idle rank still parks
-/// (and the deadlock watchdog still sees it go idle).
+/// (and registers as idle, which is what deadlock detection reads).
 ///
 /// Two hard-won caveats (see DESIGN.md "Hot paths"):
 ///  * no PAUSE/YIELD instruction in the loop — under virtualization
@@ -105,7 +105,6 @@ void Mailbox::deliver(Message msg) {
     ch.overflow.push_back(std::move(msg));
     ch.overflow_count.fetch_add(1, std::memory_order_release);
   }
-  shared_->progress.fetch_add(1, std::memory_order_relaxed);
 
   // Wakeup protocol (Dekker-style; see class comment): the seq_cst
   // RMW on dirty_ orders the push before the sleeper check, and the
@@ -113,24 +112,38 @@ void Mailbox::deliver(Message msg) {
   // its re-drain.  Whichever ordered first is seen by the other side.
   dirty_.fetch_or(bit, std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard lk(park_mu_); }  // order notify after wait entry
+    std::unique_lock lk(park_mu_);
+    // Not parked: the receiver's next re-drain (under park_mu_) sees
+    // the push.  Parked: clear its registry entry before the wake-up,
+    // so it never counts as idle with a message on its way.
+    if (!parked_) return;
+    parked_ = false;
+    shared_->registry.wake(owner_, WaitKind::kRecv);
+    lk.unlock();
     cv_.notify_all();
   }
 }
 
 void Mailbox::drain_channel(Channel& ch) {
   const std::size_t before = ch.pending.size();
+  const auto drain_ring = [&] {
+    std::uint64_t h = ch.head.load(std::memory_order_relaxed);
+    const std::uint64_t t = ch.tail.load(std::memory_order_acquire);
+    for (; h != t; ++h) {
+      ch.pending.push_back(std::move(ch.ring[h % kRingCapacity]));
+      ch.pending.back().arrival = arrivals_++;
+      ch.head.store(h + 1, std::memory_order_release);
+    }
+  };
   // Ring first: its entries always predate overflow entries.
-  std::uint64_t h = ch.head.load(std::memory_order_relaxed);
-  const std::uint64_t t = ch.tail.load(std::memory_order_acquire);
-  while (h != t) {
-    ch.pending.push_back(std::move(ch.ring[h % kRingCapacity]));
-    ch.pending.back().arrival = arrivals_++;
-    ++h;
-    ch.head.store(h, std::memory_order_release);
-  }
+  drain_ring();
   if (ch.overflow_count.load(std::memory_order_acquire) > 0) {
     std::lock_guard lk(ch.overflow_mu);
+    // The producer may have refilled the ring past the tail read above
+    // before it spilled; those entries predate the overflow too.  While
+    // the overflow is non-empty the producer never writes the ring, so
+    // this second pass reaches every ring entry older than the spill.
+    drain_ring();
     while (!ch.overflow.empty()) {
       Message msg = std::move(ch.overflow.front());
       ch.overflow.pop_front();
@@ -253,8 +266,10 @@ std::optional<Mailbox::Pick> Mailbox::try_match(Rank source, Tag tag,
   return best;
 }
 
-const Message& Mailbox::picked(const Pick& pick) const {
-  return channels_[static_cast<std::size_t>(pick.source)]->pending[pick.index];
+Status Mailbox::peek(const Pick& pick) const {
+  const Message& m =
+      channels_[static_cast<std::size_t>(pick.source)]->pending[pick.index];
+  return Status{m.source, m.tag, m.payload_size(), m.seq};
 }
 
 Status Mailbox::consume(const Pick& pick, std::vector<std::byte>& out) {
@@ -277,7 +292,6 @@ Status Mailbox::consume(const Pick& pick, std::vector<std::byte>& out) {
   if (msg.tag <= kMaxUserTag) {
     queued_user_.fetch_sub(1, std::memory_order_relaxed);
   }
-  shared_->progress.fetch_add(1, std::memory_order_relaxed);
 
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = mailbox_metrics();
@@ -289,10 +303,7 @@ Status Mailbox::consume(const Pick& pick, std::vector<std::byte>& out) {
   }
   msg.take_payload(out);
   if (msg.synchronous) {
-    // Rendezvous completion: the sender's slot outlives the ssend, so
-    // no heap-allocated handle is needed (see DESIGN.md "Hot paths").
-    shared_->ssend_slots[static_cast<std::size_t>(msg.source)]
-        .done_seq.store(msg.sync_seq, std::memory_order_release);
+    shared_->registry.complete_ssend(msg.source, msg.sync_seq);
   }
   return Status{msg.source, msg.tag, out.size(), msg.seq};
 }
@@ -326,63 +337,72 @@ Status Mailbox::receive(Rank source, Tag tag, std::vector<std::byte>& out,
   // view shows how long a rank waited and how much of that was parked
   // versus spinning.
   telemetry::Span match_span(match_span_site());
-  for (;;) {
-    check_aborted();
-    drain_transport();
-    if (auto pick = try_match(source, tag, controller, recv_index)) {
-      return consume(*pick, out);
-    }
-    if (spin_for_traffic()) continue;
-    std::unique_lock lk(park_mu_);
-    SleeperGuard guard(sleepers_);
-    // Re-drain with the sleeper count published: either this sees the
-    // racing delivery, or the sender sees the sleeper and notifies.
-    drain_transport();
-    if (auto pick = try_match(source, tag, controller, recv_index)) {
-      lk.unlock();
-      return consume(*pick, out);
-    }
-    check_aborted();
-    shared_->registry.enter_wait(owner_, WaitKind::kRecv, source, tag);
-    {
-      telemetry::Span park_span(park_span_site());
-      cv_.wait(lk);
-    }
-    shared_->registry.exit_wait(owner_);
-  }
+  return consume(park_for_match(source, tag, controller, recv_index), out);
 }
 
 Status Mailbox::probe(Rank source, Tag tag) {
-  for (;;) {
-    check_aborted();
-    drain_transport();
-    if (auto pick = try_match(source, tag, nullptr, 0)) {
-      const Message& m = picked(*pick);
-      return Status{m.source, m.tag, m.payload_size(), m.seq};
-    }
-    if (spin_for_traffic()) continue;
-    std::unique_lock lk(park_mu_);
-    SleeperGuard guard(sleepers_);
-    drain_transport();
-    if (auto pick = try_match(source, tag, nullptr, 0)) {
-      const Message& m = picked(*pick);
-      return Status{m.source, m.tag, m.payload_size(), m.seq};
-    }
-    check_aborted();
-    shared_->registry.enter_wait(owner_, WaitKind::kRecv, source, tag);
-    cv_.wait(lk);
-    shared_->registry.exit_wait(owner_);
-  }
+  return peek(park_for_match(source, tag, nullptr, 0));
 }
 
 std::optional<Status> Mailbox::iprobe(Rank source, Tag tag) {
   check_aborted();
   drain_transport();
-  if (auto pick = try_match(source, tag, nullptr, 0)) {
-    const Message& m = picked(*pick);
-    return Status{m.source, m.tag, m.payload_size(), m.seq};
-  }
+  if (auto pick = try_match(source, tag, nullptr, 0)) return peek(*pick);
   return std::nullopt;
+}
+
+/// Registers the owner as parked in the wait registry for one `cv_`
+/// wait (park_mu_ held).  A sender that delivers clears both the entry
+/// and `parked_`; if none did when the scope ends (the run aborted),
+/// the owner clears its own entry, so every way out of a park leaves
+/// the registry consistent.
+class Mailbox::ParkScope {
+ public:
+  ParkScope(Mailbox& mailbox, Rank source, Tag tag) : mailbox_(mailbox) {
+    mailbox_.shared_->registry.enter_wait(mailbox_.owner_, WaitKind::kRecv,
+                                          source, tag);
+    mailbox_.parked_ = true;
+  }
+  ~ParkScope() {
+    if (!mailbox_.parked_) return;
+    mailbox_.parked_ = false;
+    mailbox_.shared_->registry.wake(mailbox_.owner_, WaitKind::kRecv);
+  }
+  ParkScope(const ParkScope&) = delete;
+  ParkScope& operator=(const ParkScope&) = delete;
+
+ private:
+  Mailbox& mailbox_;
+};
+
+Mailbox::Pick Mailbox::park_for_match(Rank source, Tag tag,
+                                      MatchController* controller,
+                                      std::uint64_t recv_index) {
+  for (;;) {
+    check_aborted();
+    drain_transport();
+    if (auto pick = try_match(source, tag, controller, recv_index)) {
+      return *pick;
+    }
+    if (spin_for_traffic()) continue;
+    std::unique_lock lk(park_mu_);
+    SleeperGuard guard(sleepers_);
+    // Re-drain with the sleeper count published: either this sees the
+    // racing delivery, or the sender sees the sleeper and wakes us.
+    drain_transport();
+    if (auto pick = try_match(source, tag, controller, recv_index)) {
+      return *pick;
+    }
+    check_aborted();
+    // Register only now, after the last re-drain found nothing: a rank
+    // counts as idle only when no delivered message can wake it except
+    // through a sender's `deliver`, which clears the entry first.
+    ParkScope parked(*this, source, tag);
+    telemetry::Span park_span(park_span_site());
+    cv_.wait(lk, [&] {
+      return !parked_ || shared_->aborted.load(std::memory_order_acquire);
+    });
+  }
 }
 
 bool Mailbox::spin_for_traffic() const {

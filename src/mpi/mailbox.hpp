@@ -16,36 +16,22 @@
 
 namespace tdbg::mpi {
 
-/// Thrown in a blocked rank when the run is aborted (deadlock detected
-/// by the watchdog, or another rank failed).  The runtime catches it
+/// Thrown in a blocked rank when the run is aborted (deadlock found by
+/// the wait registry, or another rank failed).  The runtime catches it
 /// at the top of the rank body; application code should not.
 class Aborted : public std::exception {
  public:
   const char* what() const noexcept override { return "tdbg::mpi run aborted"; }
 };
 
-/// One rank's ssend rendezvous slot: receivers store the sender's
-/// rendezvous ticket here when they match a synchronous message.  The
-/// slot outlives any individual ssend (it is owned by the world), so
-/// the sender needs no heap-allocated completion handle — the blocked
-/// `pmpi_ssend` just waits for `done_seq` to reach its ticket.
-/// Padded so neighbouring ranks' slots don't share a cache line.
-struct alignas(64) SsendSlot {
-  std::atomic<std::uint64_t> done_seq{0};
-};
-
-/// Shared world state the mailboxes need: abort flag, progress
-/// counter, ssend rendezvous slots, and the wait registry.  Owned by
-/// the runtime.
+/// Shared world state the mailboxes need: the abort flag and the wait
+/// registry (which also holds the ssend rendezvous).  Owned by the
+/// runtime.
 struct MailboxShared {
-  explicit MailboxShared(int world_size)
-      : registry(world_size),
-        ssend_slots(static_cast<std::size_t>(world_size)) {}
+  explicit MailboxShared(int world_size) : registry(world_size) {}
 
   std::atomic<bool> aborted{false};
-  std::atomic<std::uint64_t> progress{0};  ///< delivers + matches, for the watchdog
   WaitRegistry registry;
-  std::vector<SsendSlot> ssend_slots;  ///< indexed by *sender* rank
 };
 
 /// Per-rank incoming-message store implementing MPI matching rules.
@@ -53,7 +39,7 @@ struct MailboxShared {
 /// Transport is one SPSC channel per source rank: a bounded lock-free
 /// ring for the fast path with a mutex-protected overflow deque behind
 /// it, so eager sends never block (the alltoall send phase and the
-/// deadlock watchdog both rely on that).  The owning rank drains
+/// deadlock check both rely on that).  The owning rank drains
 /// channels into private per-channel `pending` deques — the only place
 /// matching and removal happen — guided by an atomic dirty-channel
 /// bitmask so a drain touches only channels with new traffic.
@@ -72,10 +58,13 @@ struct MailboxShared {
 ///
 /// Blocking uses a park/notify protocol instead of holding a lock:
 /// the receiver publishes a sleeper count (seq_cst), re-drains, and
-/// only then waits on the condition variable; senders push, fence, and
-/// notify only when a sleeper is visible.  Either the receiver's
-/// re-drain sees the push or the sender sees the sleeper — a lost
-/// wakeup would require both seq_cst orderings to fail.
+/// only then registers in the wait registry and waits on the condition
+/// variable; senders push, fence, and take the park lock only when a
+/// sleeper is visible.  Either the receiver's re-drain sees the push
+/// or the sender sees the sleeper — a lost wakeup would require both
+/// seq_cst orderings to fail.  The sender clears the receiver's
+/// registry entry before it notifies, so a receiver with a message on
+/// its way never counts as idle.
 class Mailbox {
  public:
   Mailbox(Rank owner, int world_size, MailboxShared* shared);
@@ -171,10 +160,19 @@ class Mailbox {
   /// metrics, counters, rendezvous signal).
   Status consume(const Pick& pick, std::vector<std::byte>& out);
 
+  /// The blocking loop shared by `receive` and `probe`: drain, match,
+  /// spin, then park until a sender wakes this rank.  Returns the
+  /// match, which is still in its pending deque.
+  Pick park_for_match(Rank source, Tag tag, MatchController* controller,
+                      std::uint64_t recv_index);
+
   /// Bounded busy-wait for new transport traffic; true if any arrived.
   bool spin_for_traffic() const;
 
-  const Message& picked(const Pick& pick) const;
+  /// Status of the picked message, which stays queued (probe).
+  Status peek(const Pick& pick) const;
+
+  class ParkScope;
 
   void check_aborted() const;
 
@@ -202,6 +200,7 @@ class Mailbox {
   std::mutex park_mu_;
   std::condition_variable cv_;
   std::atomic<int> sleepers_{0};
+  bool parked_ = false;  ///< registered in the wait registry; park_mu_
 
   [[nodiscard]] std::uint64_t bit_of(Rank source) const {
     return std::uint64_t{1} << (static_cast<unsigned>(source) % 64u);

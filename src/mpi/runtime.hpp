@@ -15,8 +15,9 @@
 /// \file runtime.hpp
 /// Entry point of the message-passing substrate: spawn N single-
 /// threaded ranks, run a body on each, join, and report what happened
-/// (including deadlocks, which the watchdog detects and unwinds so a
-/// buggy target program terminates instead of hanging the debugger).
+/// (including deadlocks, which the wait registry detects and the run
+/// unwinds, so a buggy target program terminates instead of hanging
+/// the debugger).
 
 namespace tdbg::mpi {
 
@@ -33,24 +34,16 @@ struct RunOptions {
   /// seams.  Null (the default) costs one pointer test per send/recv.
   FaultInjector* fault_injector = nullptr;
 
-  /// Detect stable global quiescence and abort the run.
-  bool deadlock_watchdog = true;
-
-  /// Watchdog sampling period.  Wider under ThreadSanitizer: its
-  /// 10-20x slowdown stretches genuine scheduling gaps past the normal
-  /// stability window, which would read as false deadlocks.
-#if defined(__SANITIZE_THREAD__)
-  std::chrono::milliseconds watchdog_interval{20};
-#else
-  std::chrono::milliseconds watchdog_interval{2};
-#endif
+  /// Ignored.  Deadlock detection is exact (see `WaitRegistry`) and has
+  /// no sampling period; the field is kept for existing callers.
+  std::chrono::milliseconds watchdog_interval{0};
 
   /// Called once, before ranks start, with shared ownership of the
-  /// run's world.  The debugger and replay engine use this to inspect
-  /// live wait states (who is blocked in a receive) while ranks are
-  /// parked at breakpoints; holding the pointer keeps introspection
+  /// run's world.  The replay engine uses this to attach breakpoints
+  /// to the wait registry and to wait on it, and the health heartbeat
+  /// to read live wait states; holding the pointer keeps introspection
   /// safe after the run ends.
-  std::function<void(std::shared_ptr<const World>)> on_world_ready;
+  std::function<void(std::shared_ptr<World>)> on_world_ready;
 };
 
 /// One rank's uncaught exception.
@@ -64,7 +57,7 @@ struct RunResult {
   /// Every rank body returned normally.
   bool completed = false;
 
-  /// The watchdog declared deadlock.
+  /// The run ended in a deadlock: no rank could move again.
   bool deadlocked = false;
 
   /// Rank bodies that threw (excluding `Aborted` unwinds).

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -10,8 +13,9 @@ namespace tdbg::mpi {
 /// What a rank is currently blocked on (if anything).
 enum class WaitKind : std::uint8_t {
   kNone,      ///< running
-  kRecv,      ///< blocked in a receive
-  kSsend,     ///< blocked in a synchronous send awaiting its match
+  kRecv,      ///< parked in a receive or probe
+  kSsend,     ///< parked in a synchronous send awaiting its match
+  kStopped,   ///< stopped at a debugger breakpoint
   kFinished,  ///< rank body returned; will never send again
 };
 
@@ -25,39 +29,74 @@ struct WaitInfo {
   Tag tag = kAnyTag;
 };
 
-/// Tracks which ranks are blocked and on what.
+/// Every rank's wait state under one mutex: the one place that decides
+/// whether any rank can still move.  Runtime deadlock detection and
+/// every replay wait ask it, and the analysis module reads the final
+/// snapshot to explain *who* was waiting on *whom* — the information
+/// behind Figure 5 ("processes 0 and 7 are blocked in receives waiting
+/// for data from each other").
 ///
-/// This is the runtime's introspection surface: the deadlock watchdog
-/// uses it to decide global quiescence, and the analysis module reads
-/// the final snapshot to explain *who* was waiting on *whom* — the
-/// information behind Figure 5 ("processes 0 and 7 are blocked in
-/// receives waiting for data from each other").
+/// Invariant: a rank enters an idle state only by itself, and leaves
+/// one only when a running thread ends that wait here, naming it,
+/// before it signals the wake-up: a sender delivering to a parked
+/// receiver (`wake(r, kRecv)`), a receiver matching a parked ssend
+/// (`complete_ssend`), the debugger resuming a stopped rank
+/// (`wake(r, kStopped)`); a rank ends its own wait only on abort.  So
+/// once no rank is running, none can run again until the debugger
+/// resumes one: "no rank is running", read once under the mutex, is
+/// exact.
 class WaitRegistry {
  public:
   explicit WaitRegistry(int world_size);
 
-  /// Marks `rank` as blocked; called immediately before a condition
-  /// wait.
-  void enter_wait(Rank rank, WaitKind kind, Rank peer, Tag tag);
+  /// Marks the calling `rank`, which must be running, as idle in
+  /// `kind` (anything but `kNone`; `kFinished` is final).
+  void enter_wait(Rank rank, WaitKind kind, Rank peer = kAnySource,
+                  Tag tag = kAnyTag);
 
-  /// Marks `rank` as running again; called after the wait returns.
-  void exit_wait(Rank rank);
+  /// Marks `rank` running again if it is idle in `kind` (`kRecv`,
+  /// `kSsend` or `kStopped`); a no-op in any other state, so a waker
+  /// never ends a wait it did not mean to.
+  void wake(Rank rank, WaitKind kind);
 
-  /// Marks `rank` as finished for the rest of the run.
-  void mark_finished(Rank rank);
+  /// The ssend rendezvous.  A rank has at most one ssend outstanding,
+  /// numbered by `ticket` (1, 2, ... per rank).  The sender parks with
+  /// `enter_ssend_wait`, unless its ticket is already matched; the
+  /// receiver that matches it calls `complete_ssend`, which records
+  /// the ticket and ends the sender's kSsend wait in one step, so the
+  /// sender cannot see the match and enter a new wait in between.
+  void enter_ssend_wait(Rank rank, Rank dest, Tag tag, std::uint64_t ticket);
+  void complete_ssend(Rank sender, std::uint64_t ticket);
 
-  /// True when every rank is blocked or finished — a necessary
-  /// condition for deadlock (with eager sends there are no messages in
-  /// flight outside mailbox queues).
-  [[nodiscard]] bool all_idle() const;
+  /// Lock-free: has `sender`'s ssend `ticket` been matched?
+  [[nodiscard]] bool ssend_matched(Rank sender, std::uint64_t ticket) const {
+    return ssend_slots_[static_cast<std::size_t>(sender)].matched.load(
+               std::memory_order_acquire) >= ticket;
+  }
+
+  /// Blocks until no rank is running and returns the states at that
+  /// moment.  With `settled`, also waits until no rank is stopped at a
+  /// breakpoint: every rank is then parked or finished for good.
+  std::vector<WaitInfo> wait_idle(bool settled) const;
 
   /// Copy of the current per-rank wait states.
   [[nodiscard]] std::vector<WaitInfo> snapshot() const;
 
  private:
+  /// A sender's highest matched ticket, written under `mu_`; padded so
+  /// neighbouring ranks' slots don't share a cache line.
+  struct alignas(64) SsendSlot {
+    std::atomic<std::uint64_t> matched{0};
+  };
+
+  void enter_locked(Rank rank, WaitKind kind, Rank peer, Tag tag);
+  void wake_locked(Rank rank, WaitKind kind);
+
   mutable std::mutex mu_;
+  mutable std::condition_variable idle_cv_;  ///< signalled when running_ hits 0
   std::vector<WaitInfo> states_;
-  int idle_count_ = 0;  ///< ranks currently waiting or finished
+  int running_;  ///< ranks in kNone
+  std::vector<SsendSlot> ssend_slots_;  ///< indexed by sender rank
 };
 
 }  // namespace tdbg::mpi

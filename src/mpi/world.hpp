@@ -15,7 +15,7 @@ namespace tdbg::mpi {
 /// Why a run was aborted.
 enum class AbortCause : std::uint8_t {
   kNone,
-  kDeadlock,     ///< watchdog observed stable global quiescence
+  kDeadlock,     ///< no rank running or stopped, and some rank parked
   kRankFailure,  ///< a rank body threw
   kExternal,     ///< Runtime caller requested abort
 };

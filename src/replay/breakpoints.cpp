@@ -11,6 +11,11 @@ BreakpointControl::BreakpointControl(int num_ranks)
   TDBG_CHECK(num_ranks > 0, "breakpoint control needs at least one rank");
 }
 
+void BreakpointControl::attach(mpi::WaitRegistry& registry) {
+  std::lock_guard lk(mu_);
+  registry_ = &registry;
+}
+
 namespace {
 
 bool message_break_matches(const MessageBreak& spec, trace::EventKind kind,
@@ -75,18 +80,12 @@ void BreakpointControl::at_event(mpi::Rank rank, std::uint64_t marker,
   s.step = false;
   s.step_depth.reset();
 
+  TDBG_CHECK(registry_ != nullptr, "breakpoint control has no registry");
   s.stopped = true;
-  s.resume_requested = false;
   s.stop = StopInfo{rank, marker, construct, kind, depth, *stop_reason};
-  driver_cv_.notify_all();
-  rank_cv_.wait(lk, [&] { return s.resume_requested; });
-  s.resume_requested = false;
-}
-
-void BreakpointControl::mark_finished(mpi::Rank rank) {
-  std::lock_guard lk(mu_);
-  states_.at(static_cast<std::size_t>(rank)).finished = true;
-  driver_cv_.notify_all();
+  registry_->enter_wait(rank, mpi::WaitKind::kStopped);
+  // `stopped` is set only here, by this rank; `resume` clears it.
+  rank_cv_.wait(lk, [&] { return !s.stopped; });
 }
 
 void BreakpointControl::arm_marker(mpi::Rank rank, std::uint64_t marker) {
@@ -139,55 +138,28 @@ void BreakpointControl::disarm(mpi::Rank rank) {
   s.message_breaks.clear();
 }
 
+void BreakpointControl::resume_locked(mpi::Rank rank) {
+  auto& s = states_.at(static_cast<std::size_t>(rank));
+  if (!s.stopped) return;
+  // Clear `stopped` and the registry entry here, not in the waking rank
+  // thread: a driver that resumes and immediately waits again must not
+  // observe the stale stop.
+  s.stopped = false;
+  registry_->wake(rank, mpi::WaitKind::kStopped);
+}
+
 void BreakpointControl::resume(mpi::Rank rank) {
   std::lock_guard lk(mu_);
-  auto& s = states_.at(static_cast<std::size_t>(rank));
-  if (s.stopped) {
-    // Clear `stopped` here, not in the waking rank thread: a driver
-    // that resumes and immediately waits again must not observe the
-    // stale stop.
-    s.stopped = false;
-    s.resume_requested = true;
-    rank_cv_.notify_all();
-  }
+  resume_locked(rank);
+  rank_cv_.notify_all();
 }
 
 void BreakpointControl::resume_all() {
   std::lock_guard lk(mu_);
-  bool any = false;
-  for (auto& s : states_) {
-    if (s.stopped) {
-      s.stopped = false;
-      s.resume_requested = true;
-      any = true;
-    }
+  for (mpi::Rank r = 0; r < static_cast<mpi::Rank>(states_.size()); ++r) {
+    resume_locked(r);
   }
-  if (any) rank_cv_.notify_all();
-}
-
-bool BreakpointControl::quiescent_locked() const {
-  for (const auto& s : states_) {
-    if (!s.stopped && !s.finished) return false;
-  }
-  return true;
-}
-
-std::vector<StopInfo> BreakpointControl::wait_until_quiescent() {
-  std::unique_lock lk(mu_);
-  driver_cv_.wait(lk, [&] { return quiescent_locked(); });
-  std::vector<StopInfo> stops;
-  for (const auto& s : states_) {
-    if (s.stopped) stops.push_back(s.stop);
-  }
-  return stops;
-}
-
-std::optional<StopInfo> BreakpointControl::wait_rank(mpi::Rank rank) {
-  std::unique_lock lk(mu_);
-  auto& s = states_.at(static_cast<std::size_t>(rank));
-  driver_cv_.wait(lk, [&] { return s.stopped || s.finished; });
-  if (!s.stopped) return std::nullopt;
-  return s.stop;
+  rank_cv_.notify_all();
 }
 
 std::optional<StopInfo> BreakpointControl::stopped_at(mpi::Rank rank) const {
@@ -195,11 +167,6 @@ std::optional<StopInfo> BreakpointControl::stopped_at(mpi::Rank rank) const {
   const auto& s = states_.at(static_cast<std::size_t>(rank));
   if (!s.stopped) return std::nullopt;
   return s.stop;
-}
-
-bool BreakpointControl::finished(mpi::Rank rank) const {
-  std::lock_guard lk(mu_);
-  return states_.at(static_cast<std::size_t>(rank)).finished;
 }
 
 }  // namespace tdbg::replay

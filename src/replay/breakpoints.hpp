@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "instrument/session.hpp"
+#include "mpi/wait_registry.hpp"
 
 /// \file breakpoints.hpp
 /// The control-point implementation of breakpoints: a
@@ -53,23 +54,23 @@ struct MessageBreak {
 ///
 /// Thread model: rank threads call `at_event` (from inside
 /// `UserMonitor`) and block there while stopped; one driver thread
-/// arms markers, waits for stops with `wait_until_quiescent`, and
-/// resumes ranks.  A stopped rank blocks *before* the marked construct
-/// executes.
+/// arms markers, waits on the run's wait registry until no rank is
+/// running, reads the stops, and resumes ranks.  A stopped rank
+/// registers as `kStopped` and blocks *before* the marked construct
+/// executes; `resume` wakes its registry entry before signalling it.
 class BreakpointControl : public instr::ControlInterface {
  public:
   explicit BreakpointControl(int num_ranks);
+
+  /// The run's wait registry, where stopped ranks are recorded.  Must
+  /// be set before any rank starts (the world-ready callback).
+  void attach(mpi::WaitRegistry& registry);
 
   // --- called from rank threads (via the session) ----------------------
   void at_event(mpi::Rank rank, std::uint64_t marker,
                 trace::ConstructId construct, trace::EventKind kind,
                 int depth, bool threshold_hit,
                 const instr::EventDetail& detail) override;
-
-  /// Must be called when a rank's body finishes so the driver's
-  /// quiescence wait can account for it (wire it to
-  /// `ProfilingHooks::on_rank_finish`).
-  void mark_finished(mpi::Rank rank);
 
   // --- called from the driver thread ------------------------------------
 
@@ -105,23 +106,8 @@ class BreakpointControl : public instr::ControlInterface {
   /// Resumes every stopped rank.
   void resume_all();
 
-  /// Blocks until every rank is either stopped at a breakpoint or
-  /// finished.  Returns the stop states (finished ranks excluded).
-  /// This is how the driver knows a stopline has been reached: every
-  /// armed rank is parked and the rest have run off the end.
-  std::vector<StopInfo> wait_until_quiescent();
-
-  /// Blocks until `rank` is stopped or finished; returns its stop
-  /// state (nullopt when it finished).  The caller must ensure the
-  /// rank can actually make progress (e.g. it is not waiting on a
-  /// message from another stopped rank).
-  std::optional<StopInfo> wait_rank(mpi::Rank rank);
-
   /// Stop state of one rank, if stopped.
   [[nodiscard]] std::optional<StopInfo> stopped_at(mpi::Rank rank) const;
-
-  /// True when the rank's body has finished.
-  [[nodiscard]] bool finished(mpi::Rank rank) const;
 
  private:
   struct RankState {
@@ -134,8 +120,6 @@ class BreakpointControl : public instr::ControlInterface {
     std::vector<MessageBreak> message_breaks;
     // Current status:
     bool stopped = false;
-    bool resume_requested = false;
-    bool finished = false;
     StopInfo stop;
   };
 
@@ -145,12 +129,13 @@ class BreakpointControl : public instr::ControlInterface {
       RankState& s, std::uint64_t marker, trace::ConstructId construct,
       trace::EventKind kind, int depth, bool threshold_hit,
       const instr::EventDetail& detail) const;
-  [[nodiscard]] bool quiescent_locked() const;
+  /// Resumes `rank` if it is stopped (mu_ held).
+  void resume_locked(mpi::Rank rank);
 
   mutable std::mutex mu_;
-  std::condition_variable rank_cv_;    ///< wakes stopped rank threads
-  std::condition_variable driver_cv_;  ///< wakes the waiting driver
+  std::condition_variable rank_cv_;  ///< wakes stopped rank threads
   std::vector<RankState> states_;
+  mpi::WaitRegistry* registry_ = nullptr;
 };
 
 }  // namespace tdbg::replay

@@ -35,6 +35,10 @@ telemetry::HealthSample probe_rank(const mpi::World& world,
       case mpi::WaitKind::kFinished:
         s.state = telemetry::HealthSample::State::kFinished;
         break;
+      case mpi::WaitKind::kStopped:
+        s.state = telemetry::HealthSample::State::kBlocked;
+        s.detail = "stopped at a breakpoint";
+        break;
       case mpi::WaitKind::kRecv:
       case mpi::WaitKind::kSsend: {
         s.state = telemetry::HealthSample::State::kBlocked;
@@ -98,7 +102,7 @@ RecordedRun record(int num_ranks, const mpi::RankBody& body,
   // retired) before the session and collector it samples go away.
   RecordedRun out;
   std::shared_ptr<telemetry::HealthMonitor> monitor;
-  auto world_slot = std::make_shared<std::shared_ptr<const mpi::World>>();
+  auto world_slot = std::make_shared<std::shared_ptr<mpi::World>>();
   if (options.monitor_health) {
     const instr::Session* session_ptr = &session;
     const trace::TraceCollector* collector_ptr = collector.get();
@@ -111,7 +115,7 @@ RecordedRun record(int num_ranks, const mpi::RankBody& body,
     const auto user_ready = run_options.on_world_ready;
     run_options.on_world_ready =
         [world_slot, monitor,
-         user_ready](std::shared_ptr<const mpi::World> world) {
+         user_ready](std::shared_ptr<mpi::World> world) {
           *world_slot = std::move(world);
           monitor->start();
           if (user_ready) user_ready((*world_slot));

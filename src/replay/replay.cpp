@@ -20,7 +20,6 @@ ReplaySession::ReplaySession(int num_ranks, mpi::RankBody body, MatchLog log,
   controller_ = std::make_unique<ReplayController>(std::move(log));
   control_ = std::make_unique<BreakpointControl>(num_ranks);
   session_->set_control(control_.get());
-  finish_hook_ = std::make_unique<FinishHook>(control_.get());
   if (record_matches) {
     recorder_ = std::make_unique<MatchRecorder>(num_ranks);
   }
@@ -31,7 +30,6 @@ ReplaySession::ReplaySession(int num_ranks, mpi::RankBody body, MatchLog log,
   hooks_->add(metrics_hooks_.get());
   hooks_->add(session_.get());
   hooks_->add(recorder_.get());
-  hooks_->add(finish_hook_.get());
 }
 
 ReplaySession::~ReplaySession() {
@@ -46,51 +44,19 @@ void ReplaySession::start_if_needed() {
   if (started_) return;
   started_ = true;
   started_ns_ = support::now_ns();
-  std::promise<std::shared_ptr<const mpi::World>> world_promise;
+  std::promise<std::shared_ptr<mpi::World>> world_promise;
   auto world_future = world_promise.get_future();
   runner_ = std::thread([this, &world_promise] {
     mpi::RunOptions options;
     options.hooks = hooks_.get();
     options.controller = controller_.get();
-    options.on_world_ready = [&world_promise](auto world) {
+    options.on_world_ready = [this, &world_promise](auto world) {
+      control_->attach(world->shared().registry);
       world_promise.set_value(std::move(world));
     };
     result_ = mpi::run(num_ranks_, body_, options);
   });
   world_ = world_future.get();
-}
-
-std::vector<StopInfo> ReplaySession::wait_quiescent() {
-  // Poll breakpoint stops and runtime wait states until two
-  // consecutive stable all-idle observations.
-  bool was_idle = false;
-  std::uint64_t last_progress = 0;
-  for (;;) {
-    const auto waits = world_->shared().registry.snapshot();
-    const auto progress =
-        world_->shared().progress.load(std::memory_order_relaxed);
-    bool all_idle = true;
-    for (mpi::Rank r = 0; r < num_ranks_; ++r) {
-      const auto kind = waits[static_cast<std::size_t>(r)].kind;
-      const bool blocked_in_runtime =
-          kind == mpi::WaitKind::kRecv || kind == mpi::WaitKind::kSsend ||
-          kind == mpi::WaitKind::kFinished;
-      if (!blocked_in_runtime && !control_->stopped_at(r).has_value() &&
-          !control_->finished(r)) {
-        all_idle = false;
-        break;
-      }
-    }
-    if (all_idle && was_idle && progress == last_progress) break;
-    was_idle = all_idle;
-    last_progress = progress;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::vector<StopInfo> stops;
-  for (mpi::Rank r = 0; r < num_ranks_; ++r) {
-    if (auto stop = control_->stopped_at(r)) stops.push_back(*stop);
-  }
-  return stops;
 }
 
 std::vector<StopInfo> ReplaySession::run_to(const Stopline& stopline) {
@@ -110,46 +76,33 @@ std::vector<StopInfo> ReplaySession::run_to(const Stopline& stopline) {
   } else {
     start_if_needed();
   }
-  return wait_quiescent();
+  // Exact: a parked or stopped rank runs again only after a running
+  // one (or this driver) wakes it, so "no rank running" is final here.
+  world_->shared().registry.wait_idle(/*settled=*/false);
+  std::vector<StopInfo> stops;
+  for (mpi::Rank r = 0; r < num_ranks_; ++r) {
+    if (auto stop = control_->stopped_at(r)) stops.push_back(*stop);
+  }
+  return stops;
 }
 
-std::optional<StopInfo> ReplaySession::wait_rank_or_blocked(mpi::Rank rank) {
-  // Wait until the rank stops at an event, finishes, or blocks in the
-  // message layer with no progress anywhere (it is then waiting on a
-  // parked rank and cannot stop until something else is resumed).
-  bool was_blocked = false;
-  std::uint64_t last_progress = 0;
-  for (;;) {
-    if (auto stop = control_->stopped_at(rank)) return stop;
-    if (control_->finished(rank)) return std::nullopt;
-    const auto waits = world_->shared().registry.snapshot();
-    const auto kind = waits[static_cast<std::size_t>(rank)].kind;
-    const bool blocked =
-        kind == mpi::WaitKind::kRecv || kind == mpi::WaitKind::kSsend;
-    const auto progress =
-        world_->shared().progress.load(std::memory_order_relaxed);
-    if (blocked && was_blocked && progress == last_progress) {
-      return std::nullopt;  // parked in the runtime, not at an event
-    }
-    was_blocked = blocked;
-    last_progress = progress;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+std::optional<StopInfo> ReplaySession::resume_and_wait(mpi::Rank rank) {
+  control_->resume(rank);
+  world_->shared().registry.wait_idle(/*settled=*/false);
+  return control_->stopped_at(rank);
 }
 
 std::optional<StopInfo> ReplaySession::step(mpi::Rank rank) {
   TDBG_CHECK(started_ && !finished_, "step needs a stopped replay");
   control_->arm_step(rank);
-  control_->resume(rank);
-  return wait_rank_or_blocked(rank);
+  return resume_and_wait(rank);
 }
 
 std::optional<StopInfo> ReplaySession::step_to_depth(mpi::Rank rank,
                                                      int max_depth) {
   TDBG_CHECK(started_ && !finished_, "step needs a stopped replay");
   control_->arm_step_depth(rank, max_depth);
-  control_->resume(rank);
-  return wait_rank_or_blocked(rank);
+  return resume_and_wait(rank);
 }
 
 std::optional<StopInfo> ReplaySession::continue_rank(mpi::Rank rank) {
@@ -157,8 +110,7 @@ std::optional<StopInfo> ReplaySession::continue_rank(mpi::Rank rank) {
   // Clear a consumed stopline marker (">=" would re-trigger instantly)
   // but leave watches/message/construct breakpoints armed.
   control_->arm_marker(rank, instr::kNoThreshold);
-  control_->resume(rank);
-  return wait_rank_or_blocked(rank);
+  return resume_and_wait(rank);
 }
 
 mpi::RunResult ReplaySession::finish() {

@@ -54,14 +54,16 @@ class ReplaySession {
   ReplaySession(const ReplaySession&) = delete;
   ReplaySession& operator=(const ReplaySession&) = delete;
 
-  /// Starts (or continues) execution until every rank is parked at the
-  /// stopline or has finished.  Returns the stop states.
+  /// Starts (or continues) execution until no rank is running: each
+  /// is stopped at the stopline, parked in the message layer, or
+  /// finished.  Returns the stop states.
   std::vector<StopInfo> run_to(const Stopline& stopline);
 
-  /// Single-steps `rank` to its next instrumented event and waits for
-  /// it to stop there.  Returns nullopt when the rank finished or
-  /// blocked in the message layer instead (it is then waiting for a
-  /// message from a parked rank; resume another rank to feed it).
+  /// Single-steps `rank` to its next instrumented event and waits
+  /// until no rank is running.  Returns the rank's stop, or nullopt
+  /// when it finished or parked in the message layer instead (it is
+  /// then waiting for a message from a stopped rank; resume another
+  /// rank to feed it).
   std::optional<StopInfo> step(mpi::Rank rank);
 
   /// Steps `rank` until its call depth returns to at most `max_depth`
@@ -71,7 +73,7 @@ class ReplaySession {
 
   /// Resumes `rank` and waits for its next stop (armed watchpoint,
   /// message breakpoint, construct breakpoint, or marker) — nullopt
-  /// when it finishes or durably blocks instead.
+  /// when it finishes or parks in the message layer instead.
   std::optional<StopInfo> continue_rank(mpi::Rank rank);
 
   /// Resumes everything, disarms all breakpoints, and waits for the
@@ -95,28 +97,11 @@ class ReplaySession {
   [[nodiscard]] int num_ranks() const { return num_ranks_; }
 
  private:
-  /// Adapter wiring rank-finish notifications into the control.
-  class FinishHook : public mpi::ProfilingHooks {
-   public:
-    explicit FinishHook(BreakpointControl* control) : control_(control) {}
-    void on_rank_finish(mpi::Rank rank) override {
-      control_->mark_finished(rank);
-    }
-
-   private:
-    BreakpointControl* control_;
-  };
-
   void start_if_needed();
 
-  /// Waits until the world is quiescent: every rank is parked at a
-  /// breakpoint, finished, or blocked in the message layer waiting on
-  /// a parked rank — with two stable observations so transient blocks
-  /// (message in flight) don't count.  Returns breakpoint stops only.
-  std::vector<StopInfo> wait_quiescent();
-
-  /// Waits for one rank to stop, finish, or durably block.
-  std::optional<StopInfo> wait_rank_or_blocked(mpi::Rank rank);
+  /// Resumes `rank`, waits until no rank is running, and returns the
+  /// rank's stop (nullopt if it finished or parked in the runtime).
+  std::optional<StopInfo> resume_and_wait(mpi::Rank rank);
 
   int num_ranks_;
   mpi::RankBody body_;
@@ -125,12 +110,11 @@ class ReplaySession {
   std::unique_ptr<ReplayController> controller_;
   std::unique_ptr<MatchRecorder> recorder_;
   std::unique_ptr<BreakpointControl> control_;
-  std::unique_ptr<FinishHook> finish_hook_;
   std::unique_ptr<obs::MetricsHooks> metrics_hooks_;
   std::unique_ptr<mpi::HookFanout> hooks_;
 
   std::thread runner_;
-  std::shared_ptr<const mpi::World> world_;
+  std::shared_ptr<mpi::World> world_;
   mpi::RunResult result_;
   support::TimeNs started_ns_ = 0;
   bool started_ = false;

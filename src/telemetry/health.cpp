@@ -84,7 +84,7 @@ void HealthMonitor::sample_once() {
       st.stalled = true;
       stalled_counter.add(r);
       // The flight recorder hears about the stall the moment it is
-      // flagged — long before the watchdog's global verdict.
+      // flagged.
       TDBG_LOG(LogLevel::kWarn, "health.stalled_rank",
                static_cast<std::uint64_t>(r), sample.marker);
     }

@@ -90,6 +90,22 @@ TEST(DeadlockTest, BuggyStrassenExplained) {
   EXPECT_TRUE(zero_seven) << report.description;
 }
 
+TEST(DeadlockTest, RecvFromFinishedRankStarves) {
+  // A real run: rank 1 returns at once, and rank 0 waits for a message
+  // it never sends.  The runtime must call it a deadlock (not hang),
+  // and the explanation must name rank 0 as starved.
+  const auto result = mpi::run(2, [](mpi::Comm& comm) {
+    if (comm.rank() == 0) comm.recv_value<int>(1, 0);
+  });
+  ASSERT_TRUE(result.deadlocked);
+  ASSERT_EQ(result.final_waits.size(), 2u);
+  EXPECT_EQ(result.final_waits[0].kind, mpi::WaitKind::kRecv);
+  EXPECT_EQ(result.final_waits[1].kind, mpi::WaitKind::kFinished);
+  const auto report = explain_deadlock(result.final_waits);
+  EXPECT_TRUE(report.deadlocked);
+  EXPECT_EQ(report.starved, std::vector<mpi::Rank>{0});
+}
+
 TEST(SupervisionTest, TracksOutstandingSendsLive) {
   LiveSupervisor supervisor(2);
   mpi::RunOptions options;

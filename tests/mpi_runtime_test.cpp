@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "busy_threads.hpp"
 #include "mpi/runtime.hpp"
 
 namespace tdbg::mpi {
@@ -169,6 +170,77 @@ TEST(Runtime, DeadlockIsDetectedAndUnwound) {
   EXPECT_NE(result.abort_detail.find("deadlock"), std::string::npos);
 }
 
+TEST(Runtime, SsendCycleDeadlocks) {
+  // Both ranks ssend to each other before receiving: each waits for a
+  // match only the other could make.
+  const auto result = run(2, [](Comm& comm) {
+    comm.ssend(std::span<const std::byte>(), 1 - comm.rank(), 0);
+    std::vector<std::byte> buf;
+    comm.recv(buf, 1 - comm.rank(), 0);
+  });
+  EXPECT_TRUE(result.deadlocked);
+  ASSERT_EQ(result.final_waits.size(), 2u);
+  for (Rank r = 0; r < 2; ++r) {
+    const auto& w = result.final_waits[static_cast<std::size_t>(r)];
+    EXPECT_EQ(w.kind, WaitKind::kSsend) << "rank " << r;
+    EXPECT_EQ(w.peer, 1 - r) << "rank " << r;
+  }
+  EXPECT_NE(result.abort_detail.find("blocked in ssend"), std::string::npos);
+}
+
+TEST(Runtime, SsendThenUnmatchedRecvDeadlocks) {
+  // Rank 0's ssend completes, then it waits for a reply rank 1 never
+  // sends.  The receiver that matched the ssend must not end rank 0's
+  // new wait, or the run would hang instead of reporting the deadlock.
+  testing::BusyThreads busy(8);
+  for (int i = 0; i < 200; ++i) {
+    const auto result = run(2, [](Comm& comm) {
+      std::vector<std::byte> buf;
+      if (comm.rank() == 0) {
+        comm.ssend(std::span<const std::byte>(), 1, 0);
+        comm.recv(buf, 1, 0);
+      } else {
+        comm.recv(buf, 0, 0);
+      }
+    });
+    ASSERT_TRUE(result.deadlocked) << "run " << i;
+    EXPECT_EQ(result.final_waits[0].kind, WaitKind::kRecv) << "run " << i;
+    EXPECT_EQ(result.final_waits[1].kind, WaitKind::kFinished) << "run " << i;
+  }
+}
+
+TEST(WaitRegistry, EachWakerEndsOnlyTheWaitItNames) {
+  // A waker that arrives after its rank moved on into another wait
+  // (a late ssend completion, a mismatched wake) must leave that wait
+  // alone; otherwise an idle rank counts as running for good.
+  WaitRegistry reg(3);
+  reg.enter_ssend_wait(0, 1, 5, /*ticket=*/1);
+  reg.enter_wait(1, WaitKind::kRecv, 0, 5);
+  reg.enter_wait(2, WaitKind::kStopped);
+  reg.complete_ssend(1, 1);
+  reg.complete_ssend(2, 1);
+  reg.wake(1, WaitKind::kStopped);
+  reg.wake(2, WaitKind::kRecv);
+  auto waits = reg.snapshot();
+  EXPECT_EQ(waits[0].kind, WaitKind::kSsend);
+  EXPECT_EQ(waits[0].peer, 1);
+  EXPECT_EQ(waits[1].kind, WaitKind::kRecv);
+  EXPECT_EQ(waits[2].kind, WaitKind::kStopped);
+
+  // The matching receiver records the ticket and ends the ssend wait
+  // in one step; a sender whose ticket is matched does not park.
+  EXPECT_FALSE(reg.ssend_matched(0, 1));
+  reg.complete_ssend(0, 1);
+  EXPECT_TRUE(reg.ssend_matched(0, 1));
+  EXPECT_FALSE(reg.ssend_matched(0, 2));
+  reg.enter_ssend_wait(0, 1, 5, /*ticket=*/1);
+  reg.wake(1, WaitKind::kRecv);
+  reg.wake(2, WaitKind::kStopped);
+  for (const auto& w : reg.snapshot()) {
+    EXPECT_EQ(w.kind, WaitKind::kNone) << "rank " << w.rank;
+  }
+}
+
 TEST(Runtime, RankFailurePropagates) {
   const auto result = run(2, [](Comm& comm) {
     if (comm.rank() == 1) throw std::runtime_error("boom");
@@ -287,25 +359,36 @@ TEST(Collectives, ScatterDeliversPerRankParts) {
 }
 
 TEST(Runtime, ManyToOneWildcardStress) {
+  // Per-channel FIFO (MPI non-overtaking) under load: each sender
+  // overruns its ring and spills to the overflow while rank 0 drains,
+  // and busy threads preempt rank 0 part-way through a drain.
   constexpr int kRanks = 8;
-  constexpr int kPerRank = 200;
-  const auto result = run(kRanks, [&](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<int> totals(kRanks, 0);
-      for (int i = 0; i < (kRanks - 1) * kPerRank; ++i) {
-        Status st;
-        const int v = comm.recv_value<int>(kAnySource, 1, &st);
-        EXPECT_EQ(v, totals[static_cast<std::size_t>(st.source)]);
-        ++totals[static_cast<std::size_t>(st.source)];
+  constexpr int kPerRank = 2000;
+  constexpr int kRuns = 40;
+  testing::BusyThreads busy(8);
+  for (int run_index = 0; run_index < kRuns; ++run_index) {
+    const auto result = run(kRanks, [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        std::vector<int> next(kRanks, 0);
+        int out_of_order = 0;
+        for (int i = 0; i < (kRanks - 1) * kPerRank; ++i) {
+          Status st;
+          const int v = comm.recv_value<int>(kAnySource, 1, &st);
+          int& expected = next[static_cast<std::size_t>(st.source)];
+          if (v != expected) ++out_of_order;
+          expected = v + 1;
+        }
+        EXPECT_EQ(out_of_order, 0) << "run " << run_index;
+        for (int r = 1; r < kRanks; ++r) {
+          EXPECT_EQ(next[static_cast<std::size_t>(r)], kPerRank);
+        }
+      } else {
+        for (int i = 0; i < kPerRank; ++i) comm.send_value<int>(i, 0, 1);
       }
-      for (int r = 1; r < kRanks; ++r) {
-        EXPECT_EQ(totals[static_cast<std::size_t>(r)], kPerRank);
-      }
-    } else {
-      for (int i = 0; i < kPerRank; ++i) comm.send_value<int>(i, 0, 1);
-    }
-  });
-  EXPECT_TRUE(result.completed);
+    });
+    ASSERT_TRUE(result.completed) << "run " << run_index << ": "
+                                  << result.abort_detail;
+  }
 }
 
 }  // namespace

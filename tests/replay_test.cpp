@@ -3,8 +3,10 @@
 #include <mutex>
 
 #include "analysis/session.hpp"
+#include "apps/ring.hpp"
 #include "apps/strassen.hpp"
 #include "apps/taskfarm.hpp"
+#include "busy_threads.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/record.hpp"
 #include "replay/replay.hpp"
@@ -167,6 +169,80 @@ TEST(Replay, DivergentReplayIsDetected) {
   EXPECT_FALSE(result.completed);
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_NE(result.failures[0].what.find("divergence"), std::string::npos);
+}
+
+// Exact quiescence under load: busy threads keep woken ranks off the
+// CPUs, which must delay a run or a replay stop but never change it.
+
+TEST(Quiescence, LoadedTaskFarmIsNeverDeadlocked) {
+  apps::taskfarm::Options opts;
+  opts.num_tasks = 2000;
+  const auto body = [&](mpi::Comm& comm) {
+    apps::taskfarm::rank_body(comm, opts);
+  };
+  testing::BusyThreads busy(8);
+  for (int i = 0; i < 60; ++i) {
+    const auto result = mpi::run(16, body);
+    ASSERT_TRUE(result.completed) << "run " << i << ": " << result.abort_detail;
+  }
+}
+
+TEST(Quiescence, LoadedRingReplayStopsAreComplete) {
+  apps::ring::Options opts;
+  opts.laps = 20;
+  const auto body = [&](mpi::Comm& comm) { apps::ring::rank_body(comm, opts); };
+  const auto rec = record(4, body);
+  ASSERT_TRUE(rec.result.completed) << rec.result.abort_detail;
+  Stopline line;
+  line.thresholds.assign(4, std::uint64_t{6});
+
+  testing::BusyThreads busy(8);
+  for (int i = 0; i < 50; ++i) {
+    ReplaySession session(4, body, rec.log);
+    const auto stops = session.run_to(line);
+    ASSERT_EQ(stops.size(), 4u) << "replay " << i;
+    for (const auto& stop : stops) EXPECT_EQ(stop.marker, 6u);
+    const auto next = session.step(0);
+    ASSERT_TRUE(next.has_value()) << "replay " << i;
+    EXPECT_EQ(next->marker, 7u);
+    const auto result = session.finish();
+    ASSERT_TRUE(result.completed) << "replay " << i << ": "
+                                  << result.abort_detail;
+  }
+}
+
+TEST(Quiescence, SteppingOverSsendsStopsEveryTime) {
+  // Each step resumes rank 0 into an ssend that the free-running rank 1
+  // matches; rank 0 then stops at its next event.  The matching
+  // receiver must not end that stop, or the step would wait forever.
+  constexpr int kMsgs = 20;
+  const auto body = [](mpi::Comm& comm) {
+    for (int i = 0; i < kMsgs; ++i) {
+      if (comm.rank() == 0) {
+        comm.ssend(std::as_bytes(std::span<const int>(&i, 1)), 1, 0);
+      } else {
+        EXPECT_EQ(comm.recv_value<int>(0, 0), i);
+      }
+    }
+  };
+  const auto rec = record(2, body);
+  ASSERT_TRUE(rec.result.completed) << rec.result.abort_detail;
+  Stopline line;
+  line.thresholds = {std::uint64_t{1}, std::nullopt};
+
+  testing::BusyThreads busy(8);
+  for (int i = 0; i < 20; ++i) {
+    ReplaySession session(2, body, rec.log);
+    ASSERT_EQ(session.run_to(line).size(), 1u) << "replay " << i;
+    std::uint64_t marker = 1;
+    while (const auto stop = session.step(0)) {
+      EXPECT_EQ(stop->marker, ++marker) << "replay " << i;
+    }
+    EXPECT_GE(marker, std::uint64_t{kMsgs}) << "replay " << i;
+    const auto result = session.finish();
+    ASSERT_TRUE(result.completed) << "replay " << i << ": "
+                                  << result.abort_detail;
+  }
 }
 
 TEST(Stopline, VerticalCutsAreConsistent) {
