@@ -1,30 +1,24 @@
-// Ablation — pass fusion and incremental recompute (google-benchmark).
+// Ablation — pass fusion (google-benchmark).
 //
 // PR 8 replaces per-consumer trace scans with one shared-artifact
 // `analysis::Session`: a single fused segment sweep extracts, in one
 // decode of the trace, everything matching, the rank index, traffic,
 // the comm graph, and the race pools previously gathered in separate
-// full scans — and a prefix-stable `update()` re-sweeps only the
-// appended delta.  (The downstream pairings recompute from the
-// channel records on either path; they never rescanned the trace
-// before the refactor, so they sit outside both comparisons.)
+// full scans.  (The downstream pairings work from the channel
+// records; they never rescanned the trace before the refactor, so
+// they sit outside the comparison.)
 //
 //   BM_FusedSweep          `compute_sweep`: one pass, all extracts
 //   BM_NScanBaseline       the pre-refactor shape: five independent
 //                          full scans, each decoding every event to
 //                          extract one consumer's records
-//   BM_FullRecompute       from-scratch sweep after a 1% append
-//   BM_IncrementalUpdate   `update()` after the same append: the
-//                          sweep extends over the delta segments only
 //
-// Before any timing, main() enforces the PR's gates on best-of-5
-// process-CPU-time measurements (exit 1 on either failure):
+// Before any timing, main() enforces the fusion gate on best-of-5
+// process-CPU-time measurements (exit 1 on failure): the fused sweep
+// must be >= 2x cheaper than the N-scan baseline.
 //
-//   - fused sweep >= 2x cheaper than the N-scan baseline,
-//   - incremental update >= 10x cheaper than a full recompute.
-//
-// scripts/bench_pr8_session.sh records the medians and ratios in
-// BENCH_pr8_session.json.
+// Run: bench/abl_pass_fusion --benchmark_filter='^$' checks the gate
+// alone; without the filter it also times both benchmarks.
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +33,6 @@
 #include <vector>
 
 #include "analysis/pass.hpp"
-#include "analysis/session.hpp"
 #include "support/executor.hpp"
 #include "trace/store.hpp"
 #include "trace/trace.hpp"
@@ -54,13 +47,10 @@ constexpr int kRanks = 8;
 constexpr std::size_t kWildcards = 256;
 
 struct BenchData {
-  std::shared_ptr<trace::ConstructRegistry> registry;
-  std::vector<trace::Event> events;   // the full history
-  std::size_t prefix_size = 0;        // 99% of it: the pre-append state
-  std::filesystem::path v2;           // the segmented on-disk form
+  std::filesystem::path v2;  // the segmented on-disk form
 
   BenchData() {
-    registry = std::make_shared<trace::ConstructRegistry>();
+    auto registry = std::make_shared<trace::ConstructRegistry>();
     const auto c_work = registry->intern("work", "bench.cpp", 1);
     const auto c_msg = registry->intern("msg", "bench.cpp", 2);
 
@@ -74,6 +64,7 @@ struct BenchData {
     std::vector<std::vector<mpi::ChannelSeq>> chan_seq(
         kRanks, std::vector<mpi::ChannelSeq>(kRanks, 0));
     std::size_t wild = 0;
+    std::vector<trace::Event> events;
     events.reserve(kEvents + 1);
     auto advance = [&](int r, trace::Event& e) {
       e.rank = static_cast<mpi::Rank>(r);
@@ -122,28 +113,12 @@ struct BenchData {
         events.push_back(e);
       }
     }
-    // Canonicalize into display (time) order so a positional slice is
-    // a display-order prefix — the shape a live recording appends in,
-    // and what the session's prefix-stability fingerprint recognizes.
-    {
-      const trace::Trace tmp(kRanks, events, registry);
-      std::vector<trace::Event> display;
-      display.reserve(events.size());
-      tmp.for_each_event(
-          [&](std::size_t, const trace::Event& e) { display.push_back(e); });
-      events = std::move(display);
-    }
-    prefix_size = events.size() - events.size() / 100;  // 1% append
     v2 = std::filesystem::temp_directory_path() /
          ("tdbg_bench_fusion_" + std::to_string(::getpid()) + ".trc");
-    trace::write_trace(v2, full());
+    trace::write_trace(v2, trace::Trace(kRanks, std::move(events), registry));
   }
 
   ~BenchData() { std::filesystem::remove(v2); }
-
-  [[nodiscard]] trace::Trace full() const {
-    return trace::Trace(kRanks, events, registry);
-  }
 
   /// The fusion comparison runs on the segmented store with a small
   /// cache, where every extra scan pays real segment decode — the
@@ -153,14 +128,6 @@ struct BenchData {
     options.cache_segments = 4;
     return trace::open_trace(v2, options);
   }
-  [[nodiscard]] trace::Trace prefix() const {
-    return trace::Trace(
-        kRanks,
-        std::vector<trace::Event>(events.begin(),
-                                  events.begin() +
-                                      static_cast<std::ptrdiff_t>(prefix_size)),
-        registry);
-  }
 };
 
 BenchData& data() {
@@ -168,8 +135,8 @@ BenchData& data() {
   return d;
 }
 
-/// Process CPU time (all threads) in seconds — the work metric both
-/// gates read, insensitive to how either side schedules its threads.
+/// Process CPU time (all threads) in seconds — the work metric the
+/// gate reads, insensitive to how either side schedules its threads.
 double cpu_now() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -281,34 +248,6 @@ void BM_NScanBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_NScanBaseline)->Unit(benchmark::kMillisecond);
 
-void BM_FullRecompute(benchmark::State& state) {
-  exec::ScopedExecutor pool(4);
-  const auto full = data().full();
-  for (auto _ : state) {
-    analysis::Session session(full);
-    benchmark::DoNotOptimize(session.sweep().num_events);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kEvents));
-}
-BENCHMARK(BM_FullRecompute)->Unit(benchmark::kMillisecond);
-
-void BM_IncrementalUpdate(benchmark::State& state) {
-  exec::ScopedExecutor pool(4);
-  const auto full = data().full();
-  for (auto _ : state) {
-    state.PauseTiming();
-    analysis::Session session(data().prefix());
-    benchmark::DoNotOptimize(session.sweep().num_events);  // pre-append state
-    state.ResumeTiming();
-    session.update(full);
-    benchmark::DoNotOptimize(session.sweep().num_events);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * (kEvents - data().prefix_size)));
-}
-BENCHMARK(BM_IncrementalUpdate)->Unit(benchmark::kMillisecond);
-
 /// Fused sweep >= 2x cheaper than N scans, in CPU time, best of 5.
 bool verify_fusion_gate() {
   exec::ScopedExecutor pool(4);
@@ -336,47 +275,10 @@ bool verify_fusion_gate() {
   return true;
 }
 
-/// Incremental update >= 10x cheaper than a full recompute after a 1%
-/// append, in CPU time, best of 5.
-bool verify_incremental_gate() {
-  exec::ScopedExecutor pool(4);
-  const auto full = data().full();
-  double best_full = 1e300;
-  double best_inc = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    {
-      analysis::Session session(full);
-      const double c0 = cpu_now();
-      benchmark::DoNotOptimize(session.sweep().num_events);
-      best_full = std::min(best_full, cpu_now() - c0);
-    }
-    {
-      analysis::Session session(data().prefix());
-      benchmark::DoNotOptimize(session.sweep().num_events);
-      const double c0 = cpu_now();
-      session.update(full);
-      benchmark::DoNotOptimize(session.sweep().num_events);
-      best_inc = std::min(best_inc, cpu_now() - c0);
-    }
-  }
-  const double ratio = best_full / best_inc;
-  std::fprintf(stderr,
-               "incremental: full sweep %.1f ms cpu, update after 1%% "
-               "append %.1f ms cpu -> %.2fx\n",
-               best_full * 1e3, best_inc * 1e3, ratio);
-  if (ratio < 10.0) {
-    std::fprintf(stderr,
-                 "FAIL: incremental recompute below the 10x cpu-time gate\n");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (!verify_fusion_gate()) return 1;
-  if (!verify_incremental_gate()) return 1;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -27,8 +27,8 @@
 #                (ctest -L "trace|analysis|viz|fault|telemetry|exec|session|server")
 #                and must report zero memory or UB findings (payload
 #                corruption and held-message buffers live here; the
-#                session label adds the AnalysisSession invalidation
-#                and incremental-recompute contract; server adds the
+#                session label adds the AnalysisSession memoization and
+#                fused == legacy per-pass contract; server adds the
 #                wire codec's malformed-frame handling)
 #
 # Extras under metrics-on:
@@ -43,8 +43,7 @@
 #                          registry instead of sampling)
 #   - ctest -L obs        (the obs label must select the obs suite)
 #   - abl_pass_fusion     (asserts fused-sweep ≥2x cpu-time over the
-#                          N-scan baseline and incremental ≥10x over
-#                          full recompute; exits nonzero on drift)
+#                          N-scan baseline; exits nonzero on drift)
 #   - abl_metrics_cost    (asserts the disabled-metric ≤ relaxed-load
 #                          budget contract; exits nonzero on drift)
 #   - abl_fault_overhead  (asserts the null-injector pointer-test
@@ -115,7 +114,7 @@ echo "=== grep gate: matching/message DAG/vector clocks computed only in src/ana
 # or construct a CausalOrder directly (src/causality implements the
 # clock math the session invokes; everything else goes through
 # Session::match_report()/causal_order()/...).
-leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_message_dag|compute_traffic|compute_sweep|extend_sweep|CausalOrder\(' \
+leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_message_dag|compute_traffic|compute_sweep|CausalOrder\(' \
          "$repo/src" "$repo/tools" "$repo/examples" \
          --include='*.cpp' --include='*.hpp' \
        | grep -vE "^$repo/src/(analysis|causality)/" || true)"
@@ -162,11 +161,10 @@ echo "=== abl_fault_overhead contract ==="
 echo "=== abl_telemetry_overhead contract ==="
 "$bdir/bench/abl_telemetry_overhead" --benchmark_min_time=0.05
 
-echo "=== abl_pass_fusion fusion + incremental contract ==="
+echo "=== abl_pass_fusion fusion contract ==="
 # Asserts, on best-of-5 cpu-time: fused all-analyses sweep >= 2x
-# cheaper than the pre-refactor N-scan baseline, and the incremental
-# sweep update after a 1% append >= 10x cheaper than a full recompute
-# (exit 1 on either failure; the contract runs in main()).
+# cheaper than the pre-refactor N-scan baseline (exit 1 on failure;
+# the contract runs in main()).
 "$bdir/bench/abl_pass_fusion" --benchmark_filter='^$'
 
 echo "=== abl_parallel_analysis determinism + speedup contract ==="

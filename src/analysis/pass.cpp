@@ -33,10 +33,9 @@ struct SweepPartial {
   std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> rank_order;
 };
 
-/// Appends one segment's records into `part`.  `min_index` skips the
-/// already-swept prefix on the incremental path.
+/// Appends one segment's records into `part`.
 void sweep_segment(const trace::Trace& trace, std::size_t seg,
-                   std::size_t min_index, SweepPartial& part) {
+                   SweepPartial& part) {
   const int nr = trace.num_ranks();
   const auto nru = static_cast<std::size_t>(nr);
   part.num_ranks = nr;
@@ -61,7 +60,6 @@ void sweep_segment(const trace::Trace& trace, std::size_t seg,
     trace.for_each_in_segment_cols(
         seg, trace::kColRank | trace::kColMarker,
         [&](std::size_t i, const trace::Event& e) {
-          if (i < min_index) return;
           part.rank_order[static_cast<std::size_t>(e.rank)].emplace_back(
               e.marker, i);
         });
@@ -70,7 +68,6 @@ void sweep_segment(const trace::Trace& trace, std::size_t seg,
   trace.for_each_in_segment_cols(
       seg, trace::kAllEventColumns & ~trace::kColConstruct,
       [&](std::size_t i, const trace::Event& e) {
-        if (i < min_index) return;
         part.rank_order[static_cast<std::size_t>(e.rank)].emplace_back(
             e.marker, i);
         if (e.kind == trace::EventKind::kSend) {
@@ -101,9 +98,6 @@ void fold_partial(SweepData& acc, SweepPartial&& part) {
     }
   }
   for (auto& [key, ch] : part.overflow) append(key, ch);
-  if (acc.rank_order.size() < part.rank_order.size()) {
-    acc.rank_order.resize(part.rank_order.size());
-  }
   for (std::size_t r = 0; r < part.rank_order.size(); ++r) {
     acc.rank_order[r].insert(acc.rank_order[r].end(),
                              part.rank_order[r].begin(),
@@ -111,78 +105,38 @@ void fold_partial(SweepData& acc, SweepPartial&& part) {
   }
 }
 
-/// Restores per-rank program order over the unsorted tail of each rank
-/// list (everything past `prefix_len[r]`): sort by (marker, display
-/// index), which reproduces the store's stable by-marker ordering
-/// exactly, then merge with the already-sorted prefix.  Rank lists are
-/// independent, so the tasks never conflict.
-void sort_rank_order(SweepData& sweep,
-                     const std::vector<std::size_t>& prefix_len) {
-  exec::Executor::global().parallel_for(
-      sweep.rank_order.size(), "session.rank_index", [&](std::size_t r) {
-        auto& order = sweep.rank_order[r];
-        const auto mid =
-            order.begin() + static_cast<std::ptrdiff_t>(
-                                r < prefix_len.size() ? prefix_len[r] : 0);
-        // A rank's markers are monotone in display order for every
-        // trace the runtime writes (one thread per rank, timestamps
-        // taken in program order), so the tail collected in segment
-        // order is nearly always sorted already — check before paying
-        // for the sort that covers reordered hand-built files.
-        if (!std::is_sorted(mid, order.end())) std::sort(mid, order.end());
-        // Both halves are now sorted, so the whole list is sorted iff
-        // the boundary pair is ordered — an O(1) check that keeps the
-        // incremental path from paying a full-list scan.
-        if (mid != order.begin() && mid != order.end() &&
-            *mid < *(mid - 1)) {
-          std::inplace_merge(order.begin(), mid, order.end());
-        }
-      });
-}
-
-/// The shared gather core: sweeps every segment whose display range
-/// intersects `[min_index, trace.size())` in parallel and folds the
-/// partials in segment-index order, so the result is bit-identical at
-/// any thread count and the delta path reuses the full-path code.
-void gather(SweepData& sweep, const trace::Trace& trace,
-            std::size_t min_index) {
-  const std::size_t nseg = trace.segment_count();
-  std::vector<SweepPartial> partials(nseg);
-  trace.parallel_for_each_segment("session.sweep", [&](std::size_t seg) {
-    const auto [lo, hi] = trace.segment_range(seg);
-    if (hi <= min_index) return;  // fully inside the swept prefix
-    (void)lo;
-    sweep_segment(trace, seg, min_index, partials[seg]);
-  });
-  std::vector<std::size_t> prefix_len(sweep.rank_order.size());
-  for (std::size_t r = 0; r < sweep.rank_order.size(); ++r) {
-    prefix_len[r] = sweep.rank_order[r].size();
-  }
-  for (std::size_t seg = 0; seg < nseg; ++seg) {
-    fold_partial(sweep, std::move(partials[seg]));
-  }
-  if (sweep.rank_order.size() <
-      static_cast<std::size_t>(trace.num_ranks())) {
-    sweep.rank_order.resize(static_cast<std::size_t>(trace.num_ranks()));
-  }
-  prefix_len.resize(sweep.rank_order.size(), 0);
-  sort_rank_order(sweep, prefix_len);
-  sweep.num_events = trace.size();
-}
-
 }  // namespace
 
 SweepData compute_sweep(const trace::Trace& trace) {
+  const std::size_t nseg = trace.segment_count();
+  std::vector<SweepPartial> partials(nseg);
+  trace.parallel_for_each_segment("session.sweep", [&](std::size_t seg) {
+    sweep_segment(trace, seg, partials[seg]);
+  });
+  // Folding in segment-index order keeps the result bit-identical at
+  // any thread count.
   SweepData sweep;
-  gather(sweep, trace, /*min_index=*/0);
+  sweep.rank_order.resize(static_cast<std::size_t>(trace.num_ranks()));
+  for (std::size_t seg = 0; seg < nseg; ++seg) {
+    fold_partial(sweep, std::move(partials[seg]));
+  }
+  // Per-rank program order: sort by (marker, display index), which
+  // reproduces the store's stable by-marker ordering exactly.  A
+  // rank's markers are monotone in display order for every trace the
+  // runtime writes (one thread per rank, timestamps taken in program
+  // order), so a list collected in segment order is nearly always
+  // sorted already — check before paying for the sort that covers
+  // reordered hand-built files.  Rank lists are independent, so the
+  // tasks never conflict.
+  exec::Executor::global().parallel_for(
+      sweep.rank_order.size(), "session.rank_index", [&](std::size_t r) {
+        auto& order = sweep.rank_order[r];
+        if (!std::is_sorted(order.begin(), order.end())) {
+          std::sort(order.begin(), order.end());
+        }
+      });
+  sweep.num_events = trace.size();
   return sweep;
-}
-
-void extend_sweep(SweepData& sweep, const trace::Trace& trace) {
-  TDBG_CHECK(trace.size() >= sweep.num_events,
-             "extend_sweep needs a grown trace");
-  if (trace.size() == sweep.num_events) return;
-  gather(sweep, trace, /*min_index=*/sweep.num_events);
 }
 
 trace::MatchReport compute_match_report(const SweepData& sweep) {

@@ -16,8 +16,8 @@
 /// analyses are composable modules over one shared event-graph
 /// substrate, not independent full-scan subsystems).
 ///
-/// The foundation is the **fused sweep**: one segment-parallel
-/// `map_reduce` over the trace that simultaneously feeds
+/// The foundation is the **fused sweep**: one segment-parallel pass
+/// over the trace that simultaneously feeds
 ///
 ///   * message matching (per-channel send/receive records),
 ///   * communication supervision (the unmatched remainder),
@@ -27,12 +27,9 @@
 ///   * comm-graph node/edge extraction, and
 ///   * the per-rank program-order index,
 ///
-/// where the pre-refactor code ran one full scan per consumer.  The
-/// sweep is *monoid-shaped*: per-segment partials concatenate in
-/// segment order, so results are bit-identical at any thread count
-/// (the PR-7 contract), and a delta sweep over appended segments
-/// extends an existing `SweepData` without rescanning the prefix —
-/// the incremental-recompute path `Session::update()` rides on.
+/// where the pre-refactor code ran one full scan per consumer.
+/// Per-segment partials concatenate in segment order, so results are
+/// bit-identical at any thread count.
 ///
 /// Only this file and `session.cpp` may compute matching or vector
 /// clocks; `scripts/verify.sh` greps the rest of the source tree
@@ -73,8 +70,7 @@ struct SweepChannel {
 };
 
 /// The fused-sweep artifact: everything one pass over the segments can
-/// extract.  Monoid-shaped — `extend_sweep` appends delta segments
-/// without touching the prefix.
+/// extract.
 struct SweepData {
   using ChannelKey = std::pair<mpi::Rank, mpi::Rank>;  ///< (src, dst)
 
@@ -85,8 +81,7 @@ struct SweepData {
   /// into the shared `trace::RankIndex`.
   std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> rank_order;
 
-  /// Events covered: the segment watermark.  Display indices in
-  /// [0, num_events) have been swept.
+  /// Events swept: the trace's size.
   std::size_t num_events = 0;
 };
 
@@ -100,16 +95,9 @@ struct MessagePools {
 /// One fused pass over every segment of `trace`.
 SweepData compute_sweep(const trace::Trace& trace);
 
-/// Extends `sweep` over the delta `[sweep.num_events, trace.size())`
-/// by sweeping only the segments that intersect it.  The caller has
-/// verified the prefix is unchanged (the session's fingerprint check).
-void extend_sweep(SweepData& sweep, const trace::Trace& trace);
-
 /// Per-channel FIFO pairing over the sweep's channels (the
 /// non-overtaking rule), identical in every byte to the pre-refactor
-/// `Trace::match_report`.  Re-running it after `extend_sweep` is the
-/// incremental match path: pairing revisits the channel records but
-/// never the trace.
+/// `Trace::match_report`.
 trace::MatchReport compute_match_report(const SweepData& sweep);
 
 /// The shared per-rank program-order index.

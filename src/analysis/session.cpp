@@ -21,103 +21,26 @@ int call_graph_key(std::optional<mpi::Rank> rank) {
 
 Session::Session(trace::Trace trace) : trace_(std::move(trace)) {}
 
-Session::Fingerprint Session::fingerprint(const trace::Trace& t,
-                                          std::size_t i) const {
-  const auto& e = t.event(i);
-  return Fingerprint{e.rank, e.marker, e.t_start};
-}
-
-template <typename T>
-void Session::finish_build(Artifact<T>& slot, const char* span_name,
-                           support::TimeNs t0) {
-  slot.last_ns = support::now_ns() - t0;
-  slot.watermark = trace_.size();
-  ++slot.computes;
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter("session.artifacts.computed").add(/*rank=*/-1);
-  registry.histogram(std::string(span_name) + "_ns", obs::Unit::kNanoseconds)
-      .record(/*rank=*/-1, static_cast<std::uint64_t>(
-                               std::max<support::TimeNs>(0, slot.last_ns)));
-}
-
 template <typename T, typename Build>
 const T& Session::materialize(Artifact<T>& slot, const char* span_name,
                               Build&& build) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
+  auto& registry = obs::MetricsRegistry::global();
   if (slot.value) {
     ++slot.reuses;
-    obs::MetricsRegistry::global().counter("session.artifacts.reused")
-        .add(/*rank=*/-1);
+    registry.counter("session.artifacts.reused").add(/*rank=*/-1);
     return *slot.value;
   }
   telemetry::Span span{std::string_view(span_name)};
   const auto t0 = support::now_ns();
   slot.value.emplace(build());
-  finish_build(slot, span_name, t0);
+  slot.last_ns = support::now_ns() - t0;
+  ++slot.computes;
+  registry.counter("session.artifacts.computed").add(/*rank=*/-1);
+  registry.histogram(std::string(span_name) + "_ns", obs::Unit::kNanoseconds)
+      .record(/*rank=*/-1, static_cast<std::uint64_t>(
+                               std::max<support::TimeNs>(0, slot.last_ns)));
   return *slot.value;
-}
-
-template <typename T>
-void Session::invalidate(Artifact<T>& slot) {
-  if (!slot.value) return;
-  slot.value.reset();
-  slot.watermark = 0;
-  obs::MetricsRegistry::global().counter("session.artifacts.invalidated")
-      .add(/*rank=*/-1);
-}
-
-void Session::update(trace::Trace trace) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  const std::size_t old_size = trace_.size();
-
-  // Prefix-stable extension?  Cheap structural check: at least as many
-  // events, and the same event identities at the prefix edges.  A
-  // reordered / replaced trace fails it and takes the full path.
-  bool prefix_stable = trace.size() >= old_size;
-  if (prefix_stable && old_size > 0) {
-    prefix_stable = fingerprint(trace, 0) == fingerprint(trace_, 0) &&
-                    fingerprint(trace, old_size - 1) ==
-                        fingerprint(trace_, old_size - 1);
-  }
-  if (prefix_stable && trace.size() == old_size) {
-    // Same trace state: every artifact stays valid.
-    trace_ = std::move(trace);
-    return;
-  }
-
-  // Everything derived from the sweep (or the trace) goes; the sweep
-  // itself survives a prefix-stable extension and extends over the
-  // delta segments only.
-  invalidate(match_);
-  invalidate(rank_index_);
-  invalidate(dag_);
-  invalidate(columns_);
-  invalidate(order_);
-  invalidate(traffic_);
-  invalidate(races_);
-  invalidate(comm_graph_);
-  invalidate(action_graph_);
-  invalidate(critical_path_);
-  invalidate(intertwined_);
-  for (auto& [limit, slot] : trace_graphs_) invalidate(slot);
-  for (auto& [key, slot] : call_graphs_) invalidate(slot);
-  if (!prefix_stable) invalidate(sweep_);
-
-  trace_ = std::move(trace);
-
-  if (prefix_stable && sweep_.value) {
-    // Incremental path: sweep only the appended segments.  Counted as
-    // a (delta) compute, not a reuse — work happened.
-    telemetry::Span span{std::string_view("session.sweep.delta")};
-    const auto t0 = support::now_ns();
-    extend_sweep(*sweep_.value, trace_);
-    finish_build(sweep_, "session.sweep", t0);
-  }
-}
-
-std::size_t Session::watermark() const {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  return trace_.size();
 }
 
 const SweepData& Session::sweep() {
@@ -216,61 +139,38 @@ std::vector<ModelResult> Session::check_model(const std::string& pattern) {
   return check_model_all(trace_, action_graph(), pattern);
 }
 
-void Session::fill_info(std::vector<PassInfo>& out, const char* name,
-                        const char* deps, bool incremental,
-                        std::uint64_t computes, std::uint64_t reuses,
-                        support::TimeNs last_ns, std::size_t watermark,
-                        bool cached) const {
-  PassInfo info;
-  info.name = name;
-  info.deps = deps;
-  info.incremental = incremental;
-  info.cached = cached;
-  info.computes = computes;
-  info.reuses = reuses;
-  info.last_ns = last_ns;
-  info.watermark = watermark;
-  out.push_back(std::move(info));
-}
-
 std::vector<PassInfo> Session::pass_states() const {
   std::lock_guard<std::recursive_mutex> lk(mu_);
   std::vector<PassInfo> out;
-  const auto one = [&](const char* name, const char* deps, bool incremental,
+  const auto one = [&](const char* name, const char* deps,
                        const auto& slot) {
-    fill_info(out, name, deps, incremental, slot.computes, slot.reuses,
-              slot.last_ns, slot.watermark, slot.value.has_value());
+    out.push_back(PassInfo{name, deps, slot.value.has_value(), slot.computes,
+                           slot.reuses, slot.last_ns});
   };
-  one("sweep", "-", true, sweep_);
-  one("match", "sweep", true, match_);
-  one("rank_index", "sweep", true, rank_index_);
-  one("traffic", "sweep, match", true, traffic_);
-  one("comm_graph", "sweep, match, rank_index", true, comm_graph_);
-  one("message_dag", "match, rank_index", false, dag_);
-  one("event_columns", "-", false, columns_);
-  one("causal_order", "rank_index, message_dag", false, order_);
-  one("races", "sweep, message_dag, causal_order", false, races_);
-  one("critical_path", "rank_index, event_columns, message_dag", false,
+  one("sweep", "-", sweep_);
+  one("match", "sweep", match_);
+  one("rank_index", "sweep", rank_index_);
+  one("traffic", "sweep, match", traffic_);
+  one("comm_graph", "sweep, match, rank_index", comm_graph_);
+  one("message_dag", "match, rank_index", dag_);
+  one("event_columns", "-", columns_);
+  one("causal_order", "rank_index, message_dag", order_);
+  one("races", "sweep, message_dag, causal_order", races_);
+  one("critical_path", "rank_index, event_columns, message_dag",
       critical_path_);
-  one("intertwined", "match, causal_order", false, intertwined_);
-  one("action_graph", "rank_index, event_columns", false, action_graph_);
+  one("intertwined", "match, causal_order", intertwined_);
+  one("action_graph", "rank_index, event_columns", action_graph_);
   // The parameterized graph caches aggregate across their keys.
   const auto many = [&](const char* name, const char* deps,
                         const auto& slots) {
-    std::uint64_t computes = 0;
-    std::uint64_t reuses = 0;
-    support::TimeNs last_ns = 0;
-    std::size_t watermark = 0;
-    bool cached = false;
+    PassInfo info{name, deps};
     for (const auto& [key, slot] : slots) {
-      computes += slot.computes;
-      reuses += slot.reuses;
-      last_ns = std::max(last_ns, slot.last_ns);
-      watermark = std::max(watermark, slot.watermark);
-      cached = cached || slot.value.has_value();
+      info.cached = info.cached || slot.value.has_value();
+      info.computes += slot.computes;
+      info.reuses += slot.reuses;
+      info.last_ns = std::max(info.last_ns, slot.last_ns);
     }
-    fill_info(out, name, deps, false, computes, reuses, last_ns, watermark,
-              cached);
+    out.push_back(std::move(info));
   };
   many("trace_graph", "rank_index, event_columns", trace_graphs_);
   many("call_graph", "trace_graph", call_graphs_);
@@ -281,14 +181,13 @@ std::string Session::describe() const {
   std::lock_guard<std::recursive_mutex> lk(mu_);
   const auto states = pass_states();
   std::ostringstream os;
-  os << "analysis session: " << states.size() << " passes, watermark "
+  os << "analysis session: " << states.size() << " passes over "
      << trace_.size() << " event(s)\n";
-  os << "  pass           state     inc  computes  reuses  last build\n";
+  os << "  pass           state     computes  reuses  last build\n";
   for (const auto& s : states) {
     os << "  " << s.name;
     for (std::size_t p = s.name.size(); p < 15; ++p) os << ' ';
-    os << (s.cached ? "cached  " : "pending ") << "  "
-       << (s.incremental ? "yes" : "no ") << "  ";
+    os << (s.cached ? "cached  " : "pending ") << "  ";
     std::string computes = std::to_string(s.computes);
     os << computes;
     for (std::size_t p = computes.size(); p < 8; ++p) os << ' ';

@@ -26,42 +26,29 @@
 /// analysis consumer goes through (the DeWiz / MAD idea: one event-
 /// graph substrate, many composable analysis modules).
 ///
-/// A session owns one `trace::Trace` and a cache of lazily-computed,
-/// memoized **artifacts** over it — the fused sweep, the match report,
-/// the per-rank index, the message DAG, the event columns, vector
-/// clocks, traffic, races, the graphs — each computed at most once per
-/// trace state and handed out by reference.  The debugger holds one
-/// session per trace; the CLI tools and the HTML view construct one and
-/// pull what they need.
+/// A session owns one immutable `trace::Trace` and a cache of lazily
+/// computed, memoized **artifacts** over it — the fused sweep, the
+/// match report, the per-rank index, the message DAG, the event
+/// columns, vector clocks, traffic, races, the graphs.  Each artifact
+/// is built at most once, on first use, and then handed out by
+/// reference for the session's lifetime: the trace never changes, so
+/// nothing is ever invalidated.  A different trace gets a new session.
+/// The debugger holds one session per recorded run; the CLI tools, the
+/// server and the HTML view construct one and pull what they need.
 ///
-/// **Invalidation / incremental contract.**  `update(trace)` moves the
-/// session to a new trace state.  When the new trace is a prefix-
-/// stable extension of the old one (same events up to the old
-/// watermark — verified by a size check plus event fingerprints at the
-/// prefix edges), the monoid-shaped artifacts recompute incrementally:
-/// the fused sweep extends over the delta segments only, and matching,
-/// traffic, the rank index, and the comm graph rebuild from the
-/// sweep's records without rescanning the trace.  Otherwise every
-/// artifact is dropped and rebuilt from scratch on next use.  Either
-/// way, results are byte-identical to a from-scratch session — the
-/// incremental path is a pure optimization.
-///
-/// References returned by the getters stay valid until the next
-/// `update()`.  Getters are thread-safe (one recursive mutex; passes
-/// call their dependency passes re-entrantly).
+/// Getters are thread-safe (one recursive mutex; passes call their
+/// dependency passes re-entrantly).
 
 namespace tdbg::analysis {
 
 /// State of one pass in the artifact cache (the `passes` command).
 struct PassInfo {
   std::string name;
-  std::string deps;        ///< declared dependencies (display only)
-  bool incremental = false;  ///< monoid-shaped: recomputes from deltas
-  bool cached = false;       ///< artifact currently materialized
-  std::uint64_t computes = 0;  ///< times built (from scratch or delta)
-  std::uint64_t reuses = 0;    ///< cache hits
+  std::string deps;             ///< declared dependencies (display only)
+  bool cached = false;          ///< artifact materialized
+  std::uint64_t computes = 0;   ///< times built
+  std::uint64_t reuses = 0;     ///< cache hits
   support::TimeNs last_ns = 0;  ///< duration of the last build
-  std::size_t watermark = 0;    ///< events covered by the cached value
 };
 
 /// Shared-artifact analysis pipeline over one trace.
@@ -74,14 +61,6 @@ class Session {
 
   /// The trace this session analyzes.
   [[nodiscard]] const trace::Trace& trace() const { return trace_; }
-
-  /// Moves the session to a new trace state (live recording growth,
-  /// merge, or an unrelated trace).  Prefix-stable extensions take the
-  /// incremental path; anything else invalidates every artifact.
-  void update(trace::Trace trace);
-
-  /// Events covered by the current artifacts (== trace().size()).
-  [[nodiscard]] std::size_t watermark() const;
 
   // --- Artifacts (computed on first use, then cached) -----------------
 
@@ -153,43 +132,18 @@ class Session {
     std::uint64_t computes = 0;
     std::uint64_t reuses = 0;
     support::TimeNs last_ns = 0;
-    std::size_t watermark = 0;
   };
 
   /// Memoization core: returns the cached value or runs `build` under
-  /// a telemetry span, bumping the session.artifacts.* counters.
+  /// a telemetry span, bumping the session.artifacts.* counters.  One
+  /// clock pair times the build, for the `passes` table and the
+  /// `<span_name>_ns` histogram.
   template <typename T, typename Build>
   const T& materialize(Artifact<T>& slot, const char* span_name,
                        Build&& build);
 
-  /// Records a build of `slot` that started at `t0`: its duration goes
-  /// to the `passes` table and to the `<span_name>_ns` histogram.
-  template <typename T>
-  void finish_build(Artifact<T>& slot, const char* span_name,
-                    support::TimeNs t0);
-
-  /// Drops an artifact (if materialized), counting the invalidation.
-  template <typename T>
-  void invalidate(Artifact<T>& slot);
-
-  /// A compact identity of `trace_`'s event at `i`, used to verify
-  /// prefix stability across `update()`.
-  struct Fingerprint {
-    mpi::Rank rank = -1;
-    std::uint64_t marker = 0;
-    support::TimeNs t_start = 0;
-    friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
-  };
-  [[nodiscard]] Fingerprint fingerprint(const trace::Trace& t,
-                                        std::size_t i) const;
-
-  void fill_info(std::vector<PassInfo>& out, const char* name,
-                 const char* deps, bool incremental, std::uint64_t computes,
-                 std::uint64_t reuses, support::TimeNs last_ns,
-                 std::size_t watermark, bool cached) const;
-
   mutable std::recursive_mutex mu_;
-  trace::Trace trace_;
+  const trace::Trace trace_;
 
   Artifact<SweepData> sweep_;
   Artifact<trace::MatchReport> match_;

@@ -250,9 +250,8 @@ std::optional<mpi::RunResult> Debugger::end_replay() {
     recorded_run_.log = active_->match_log();
     recorded_ = true;
     live_ = false;
-    // The history changed: the next analysis gets a fresh session over
-    // the completed trace (or an incremental update of the old one,
-    // but a live run's partial trace was never analyzable, so reset).
+    // A session analyzes one fixed trace: the next analysis builds a
+    // fresh one over the completed history.
     session_.reset();
   }
   active_.reset();

@@ -110,7 +110,7 @@ Response execute_on_session(const Request& request,
         SessionStatsInfo info;
         info.fingerprint = entry.key.hex();
         info.events = trace.size();
-        info.watermark = session.watermark();
+        info.watermark = session.trace().size();
         info.cache_hits = cache.hits;
         info.cache_misses = cache.misses;
         info.cache_evictions = cache.evictions;

@@ -212,7 +212,7 @@ struct DeadlockInfo {
 struct SessionStatsInfo {
   std::string fingerprint;
   std::uint64_t events = 0;
-  std::uint64_t watermark = 0;
+  std::uint64_t watermark = 0;       ///< events the artifacts cover (== events)
   std::uint64_t cache_hits = 0;       ///< session-cache hits
   std::uint64_t cache_misses = 0;     ///< session-cache loads
   std::uint64_t cache_evictions = 0;

@@ -48,17 +48,6 @@ TraceCollector::TraceCollector(int num_ranks,
   for (auto& flag : kind_enabled_) flag.store(true, std::memory_order_relaxed);
 }
 
-TraceCollector::~TraceCollector() {
-  if (bg_active_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard lk(bg_mu_);
-      bg_stop_ = true;
-    }
-    bg_cv_.notify_one();
-    bg_thread_.join();
-  }
-}
-
 void TraceCollector::set_kind_enabled(EventKind kind, bool enabled) {
   kind_enabled_.at(static_cast<std::size_t>(kind))
       .store(enabled, std::memory_order_relaxed);
@@ -126,13 +115,7 @@ void TraceCollector::append(const Event& event) {
 
   if (has_writer_.load(std::memory_order_relaxed) &&
       buffered >= flush_threshold_.load(std::memory_order_relaxed)) {
-    if (bg_active_.load(std::memory_order_relaxed)) {
-      // Kick the background flusher; the interval timeout backstops a
-      // notify that races with it going to sleep.
-      bg_cv_.notify_one();
-    } else {
-      flush_rank(buf);
-    }
+    flush_rank(buf);
   }
 }
 
@@ -188,38 +171,7 @@ void TraceCollector::flush() {
   std::lock_guard lk(writer_mu_);
   if (writer_ == nullptr) return;
   for (auto& buf : buffers_) flush_rank_locked(*buf);
-}
-
-void TraceCollector::start_background_flush(
-    std::chrono::milliseconds interval) {
-  TDBG_CHECK(!bg_active_.load(std::memory_order_relaxed),
-             "background flusher already running");
-  bg_stop_ = false;
-  bg_active_.store(true, std::memory_order_relaxed);
-  bg_thread_ = std::thread([this, interval] { background_loop(interval); });
-}
-
-void TraceCollector::stop_background_flush() {
-  if (!bg_active_.load(std::memory_order_relaxed)) return;
-  {
-    std::lock_guard lk(bg_mu_);
-    bg_stop_ = true;
-  }
-  bg_cv_.notify_one();
-  bg_thread_.join();
-  bg_active_.store(false, std::memory_order_relaxed);
-  flush();  // drain whatever arrived after the thread's last pass
-}
-
-void TraceCollector::background_loop(std::chrono::milliseconds interval) {
-  std::unique_lock lk(bg_mu_);
-  while (!bg_stop_) {
-    bg_cv_.wait_for(lk, interval);
-    if (bg_stop_) break;
-    lk.unlock();
-    flush();
-    lk.lock();
-  }
+  writer_->flush();
 }
 
 std::size_t TraceCollector::buffered_count() const {

@@ -2,11 +2,8 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "trace/construct_registry.hpp"
@@ -36,9 +33,7 @@ class TraceWriter;
 /// counter, hands whole chunk spans to `TraceWriter::write_events`
 /// (one writer-lock acquisition per span instead of per record), and
 /// recycles drained chunks through a pool so steady-state tracing
-/// allocates nothing.  An optional background flusher thread
-/// (`start_background_flush`) moves flushing off the traced program's
-/// threads entirely, so append never blocks on I/O.
+/// allocates nothing.
 class TraceCollector {
  public:
   /// Records per chunk; also the granularity of flush batching.
@@ -52,10 +47,6 @@ class TraceCollector {
 
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
-
-  /// Stops the background flusher if running (without a final flush —
-  /// call `stop_background_flush` yourself to drain first).
-  ~TraceCollector();
 
   /// Appends a record (called from the owning rank's thread).  Drops
   /// the record if collection is disabled globally or for its kind.
@@ -72,24 +63,15 @@ class TraceCollector {
 
   /// Attaches a writer; once attached, `flush` drains buffered records
   /// to it, and buffers auto-flush when they exceed `threshold`
-  /// records.
+  /// records.  An auto-flush only hands records to the writer; it
+  /// does not make them durable (so v3 blocks stay full size).
   void attach_writer(TraceWriter* writer, std::size_t threshold = 4096);
 
   /// Flush-on-demand: drains every rank's buffer to the attached
-  /// writer.  No-op without a writer.
+  /// writer, then `TraceWriter::flush`es it, so every record appended
+  /// so far can be read back from the file before `finish()`.  No-op
+  /// without a writer.
   void flush();
-
-  /// Starts a thread that flushes every `interval` and whenever an
-  /// append pushes a rank's buffer past the flush threshold.  While it
-  /// runs, appends never flush inline — the traced program's threads
-  /// stay wait-free even with a writer attached.
-  void start_background_flush(
-      std::chrono::milliseconds interval = std::chrono::milliseconds(2));
-
-  /// Stops the background flusher after one final flush.  Idempotent.
-  /// Call this (or `attach_writer(nullptr)`) before destroying the
-  /// attached writer.
-  void stop_background_flush();
 
   /// Number of records currently buffered (all ranks).  Callable from
   /// any thread.
@@ -156,8 +138,6 @@ class TraceCollector {
   /// Auto-flush entry from `append`: re-checks the writer under lock.
   void flush_rank(RankBuffer& buf);
 
-  void background_loop(std::chrono::milliseconds interval);
-
   int num_ranks_;
   std::shared_ptr<ConstructRegistry> constructs_;
   std::vector<std::unique_ptr<RankBuffer>> buffers_;
@@ -170,13 +150,6 @@ class TraceCollector {
   TraceWriter* writer_ = nullptr;
   std::atomic<bool> has_writer_{false};
   std::atomic<std::size_t> flush_threshold_{4096};
-
-  // Background flusher (see start_background_flush).
-  std::thread bg_thread_;
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  bool bg_stop_ = false;
-  std::atomic<bool> bg_active_{false};
 };
 
 }  // namespace tdbg::trace

@@ -129,7 +129,7 @@ class TraceStore {
   // segments: the v2 file's directory segments for the lazy store,
   // fixed-size chunks for the in-memory store.  Segment boundaries
   // depend only on the history (never on thread count), which is what
-  // lets `Trace::map_reduce` merge per-segment partials in segment
+  // lets the analysis passes merge per-segment partials in segment
   // order and produce bit-identical results at any parallelism.
 
   /// Number of segments (0 for an empty trace).

@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include "support/error.hpp"
+#include "support/executor.hpp"
 
 namespace tdbg::trace {
 

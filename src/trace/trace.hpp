@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/executor.hpp"
 #include "trace/construct_registry.hpp"
 #include "trace/event.hpp"
 #include "trace/store.hpp"
@@ -196,15 +195,14 @@ class Trace {
   [[nodiscard]] std::vector<std::size_t> events_in_window(
       support::TimeNs t0, support::TimeNs t1) const;
 
-  // --- Segment-parallel map-reduce -------------------------------------
+  // --- Segment view (the unit of analysis parallelism) ----------------
   //
-  // The store exposes the stream as display-order segments (the v2
+  // The store exposes the stream as display-order segments (the v2/v3
   // directory's segments, or fixed chunks in memory); segment
-  // boundaries depend only on the history, never on thread count.
-  // `map_reduce` computes one `Partial` per segment on the analysis
-  // pool and folds them **in segment-index order** — completion order
-  // is irrelevant — so any quantity built from order-insensitive
-  // per-segment parts is bit-identical at 1, 2, or 64 threads.
+  // boundaries depend only on the history, never on thread count.  A
+  // pass that builds one partial per segment on the analysis pool and
+  // folds them **in segment-index order** — completion order is
+  // irrelevant — is bit-identical at 1, 2, or 64 threads.
 
   /// Number of display-order segments (0 when empty).
   [[nodiscard]] std::size_t segment_count() const {
@@ -236,24 +234,6 @@ class Trace {
   void parallel_for_each_segment(
       std::string_view site,
       const std::function<void(std::size_t seg)>& body) const;
-
-  /// One `Partial` per segment, built in parallel, folded serially in
-  /// segment order: `map(seg, partials[seg])` on the pool, then
-  /// `reduce(acc, std::move(partials[seg]))` for seg = 0, 1, ....
-  /// Exceptions from `map` propagate to the caller.
-  template <typename Partial, typename Map, typename Reduce>
-  Partial map_reduce(std::string_view site, Map&& map,
-                     Reduce&& reduce) const {
-    const std::size_t nseg = segment_count();
-    std::vector<Partial> partials(nseg);
-    parallel_for_each_segment(
-        site, [&](std::size_t seg) { map(seg, partials[seg]); });
-    Partial acc{};
-    for (std::size_t seg = 0; seg < nseg; ++seg) {
-      reduce(acc, std::move(partials[seg]));
-    }
-    return acc;
-  }
 
  private:
   std::shared_ptr<const TraceStore> store_;

@@ -187,6 +187,16 @@ void TraceWriter::write_events(std::span<const Event> events) {
   check_stream("write");
 }
 
+void TraceWriter::flush() {
+  std::lock_guard lk(mu_);
+  if (finished_) return;
+  // A v3 file that ends at a block boundary reads as the prefix of
+  // sealed segments, so the open segment is sealed short.
+  if (format_ == TraceFormat::kBinaryV3) close_segment_v3();
+  out_.flush();
+  check_stream("flush");
+}
+
 void TraceWriter::finish() {
   std::lock_guard lk(mu_);
   if (finished_) return;

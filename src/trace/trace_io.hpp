@@ -27,7 +27,8 @@ inline constexpr std::uint32_t kDefaultSegmentEvents = 1u << 16;
 
 /// Streams trace records to a file.
 ///
-/// The event stream is written incrementally — this is what makes the
+/// The event stream is written incrementally, and `flush()` makes
+/// everything written so far readable — this is what makes the
 /// collector's flush-on-demand useful: the debugger can read a
 /// consistent prefix of the history while the program is still
 /// running.  The footer (construct table, and for v2 the segment
@@ -42,11 +43,13 @@ inline constexpr std::uint32_t kDefaultSegmentEvents = 1u << 16;
 ///
 /// For v3 the writer buffers the open segment and seals it as one
 /// columnar block (see columnar.hpp) when it reaches `segment_events`
-/// records; the directory entry additionally carries the segment's
-/// kind/rank presence masks and per-column zone maps.  Because whole
-/// segments are buffered, a mid-segment crash loses the buffered tail
-/// — the collector's flush-on-demand partial traces therefore stay on
-/// v2, where every written record is durable.
+/// records, or earlier when `flush()` is called; the directory entry
+/// additionally carries the segment's kind/rank presence masks and
+/// per-column zone maps.
+///
+/// Records reach the file only through the stream's buffer (and, on
+/// v3, the open segment): until `flush()` or `finish()`, a crash can
+/// lose any record written since the last flush, on every format.
 ///
 /// Stream failures (full disk, failed flush) throw `IoError` naming
 /// the path.
@@ -71,6 +74,12 @@ class TraceWriter {
   /// with one stream call.  This is the collector's flush path; the
   /// per-record cost is a fraction of `write_event`'s.  Thread-safe.
   void write_events(std::span<const Event> events);
+
+  /// Makes every record written so far readable from the file as a
+  /// footer-less prefix: on v3 it seals the open segment as a (short)
+  /// block, then it flushes the stream.  Throws `IoError` if the
+  /// stream failed.  No-op after `finish()`.  Thread-safe.
+  void flush();
 
   /// Writes the construct table, segment directory (v2), and
   /// end-of-stream trailer, then closes.  Idempotent.

@@ -1,8 +1,8 @@
-// The analysis thread pool (tdbg::exec) and the segment-parallel
-// map-reduce built on it: pool lifecycle, work stealing, exception
-// propagation, and — the contract everything else leans on — that
-// every migrated analysis produces bit-identical reports at 1, 2, and
-// 8 threads, on both trace-store backends.
+// The analysis thread pool (tdbg::exec) and the trace's segment view
+// the passes parallelize over: pool lifecycle, work stealing,
+// exception propagation, and — the contract everything else leans
+// on — that every migrated analysis produces bit-identical reports at
+// 1, 2, and 8 threads, on both trace-store backends.
 
 #include <gtest/gtest.h>
 
@@ -313,7 +313,7 @@ TEST(ExecutorTest, NestedParallelForCompletes) {
   EXPECT_EQ(leaf.load(), 32);
 }
 
-// --- map-reduce determinism ------------------------------------------------
+// --- segment view ----------------------------------------------------------
 
 TEST(MapReduceTest, SegmentViewCoversTraceExactly) {
   const auto plan = make_storm_plan(4, 30, /*seed=*/11);
@@ -333,36 +333,6 @@ TEST(MapReduceTest, SegmentViewCoversTraceExactly) {
     covered = end;
   }
   EXPECT_EQ(covered, trace.size());
-}
-
-TEST(MapReduceTest, DeterministicAcrossThreadCounts) {
-  const auto plan = make_storm_plan(6, 40, /*seed=*/7);
-  const auto rec = replay::record(6, storm_body(plan));
-  ASSERT_TRUE(rec.result.completed);
-  const auto& store = rec.trace.store();
-
-  // An order-sensitive reduction: concatenate every event index in
-  // merge order.  Identical output proves partials merge in segment
-  // order, not completion order.
-  const auto gather = [&](std::size_t threads) {
-    exec::ScopedExecutor pool(threads);
-    const trace::Trace trace(store);
-    return trace.map_reduce<std::vector<std::size_t>>(
-        "test.gather",
-        [&](std::size_t seg, std::vector<std::size_t>& part) {
-          trace.for_each_in_segment(
-              seg, [&](std::size_t i, const trace::Event&) {
-                part.push_back(i);
-              });
-        },
-        [](std::vector<std::size_t>& acc, std::vector<std::size_t>&& part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-        });
-  };
-  const auto serial = gather(1);
-  ASSERT_EQ(serial.size(), rec.trace.size());
-  EXPECT_EQ(gather(2), serial);
-  EXPECT_EQ(gather(8), serial);
 }
 
 // --- parallel == serial for the migrated analyses --------------------------

@@ -1,8 +1,6 @@
 // analysis::Session contract tests (ctest label `session`):
 //
 //   * artifact memoization and the shared-reference guarantee,
-//   * update() invalidation — stale artifacts refresh after growth,
-//   * incremental recompute byte-identical to a from-scratch session,
 //   * fused-sweep results equal the legacy per-pass algorithms on the
 //     storm, deadlock_ring and synthetic-chain workloads at 1 and 8
 //     threads, and happens-before and the critical-path length equal
@@ -21,7 +19,6 @@
 #include "analysis/session.hpp"
 #include "fault/engine.hpp"
 #include "fault/plan.hpp"
-#include "graph/export.hpp"
 #include "mpi/runtime.hpp"
 #include "replay/record.hpp"
 #include "support/executor.hpp"
@@ -88,12 +85,9 @@ mpi::RankBody ring_body(int n) {
   };
 }
 
-/// Deterministic synthetic trace for the growth tests: increasing
-/// timestamps (display order == construction order), per-rank monotone
-/// markers, valid per-channel sequence numbers, and a mix of matched,
-/// pending, and compute events.  Any prefix of the vector is itself a
-/// valid trace, which is exactly the prefix-stable growth `update()`
-/// recognizes.
+/// Deterministic synthetic trace: increasing timestamps (display order
+/// == construction order), per-rank monotone markers, valid per-channel
+/// sequence numbers, and a mix of matched, pending, and compute events.
 std::vector<trace::Event> synth_events(std::size_t n, int ranks,
                                        std::uint64_t seed) {
   auto rng = support::SplitMix64(seed).split(1);
@@ -393,50 +387,7 @@ void expect_fused_equals_legacy(const trace::Trace& trace,
   EXPECT_EQ(session.critical_path().total, kahn_longest_path(trace, report));
 }
 
-void expect_sessions_identical(analysis::Session& a, analysis::Session& b) {
-  expect_match_reports_equal(a.match_report(), b.match_report());
-  EXPECT_EQ(a.rank_index().seq, b.rank_index().seq);
-  EXPECT_EQ(a.rank_index().position, b.rank_index().position);
-  EXPECT_EQ(a.traffic().to_string(), b.traffic().to_string());
-  EXPECT_EQ(graph::to_dot(a.comm_graph().to_export()),
-            graph::to_dot(b.comm_graph().to_export()));
-  const auto& ra = a.races().races;
-  const auto& rb = b.races().races;
-  ASSERT_EQ(ra.size(), rb.size());
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].recv_index, rb[i].recv_index) << "at " << i;
-    EXPECT_EQ(ra[i].matched_send, rb[i].matched_send) << "at " << i;
-    EXPECT_EQ(ra[i].candidates, rb[i].candidates) << "at " << i;
-  }
-  const auto& pa = a.critical_path();
-  const auto& pb = b.critical_path();
-  EXPECT_EQ(pa.events, pb.events);
-  EXPECT_EQ(pa.durations, pb.durations);
-  EXPECT_EQ(pa.total, pb.total);
-  EXPECT_EQ(pa.per_rank, pb.per_rank);
-  EXPECT_EQ(pa.rank_switches, pb.rank_switches);
-  const auto& ca = a.trace().constructs();
-  const auto& cb = b.trace().constructs();
-  EXPECT_EQ(graph::to_dot(a.action_graph().to_export(ca)),
-            graph::to_dot(b.action_graph().to_export(cb)));
-  EXPECT_EQ(graph::to_dot(a.trace_graph().to_export(ca)),
-            graph::to_dot(b.trace_graph().to_export(cb)));
-  EXPECT_EQ(graph::to_dot(a.call_graph().to_export(ca)),
-            graph::to_dot(b.call_graph().to_export(cb)));
-  // Sampled happens-before grid over both causal orders.
-  const auto& oa = a.causal_order();
-  const auto& ob = b.causal_order();
-  const auto n = a.trace().size();
-  const std::size_t stride = std::max<std::size_t>(1, n / 29);
-  for (std::size_t x = 0; x < n; x += stride) {
-    for (std::size_t y = 0; y < n; y += stride) {
-      EXPECT_EQ(oa.happens_before(x, y), ob.happens_before(x, y))
-          << x << " -> " << y;
-    }
-  }
-}
-
-// --- memoization and invalidation ------------------------------------------
+// --- memoization -----------------------------------------------------------
 
 TEST(SessionTest, ArtifactsAreSharedAndMemoized) {
   const auto rec = replay::record(4, ring_body(4));
@@ -457,95 +408,15 @@ TEST(SessionTest, ArtifactsAreSharedAndMemoized) {
   EXPECT_TRUE(passes["match"].cached);
   EXPECT_EQ(passes["match"].computes, 1u);
   EXPECT_GE(passes["match"].reuses, 1u);
-  EXPECT_EQ(passes["match"].watermark, rec.trace.size());
   ASSERT_TRUE(passes.count("event_columns"));
   EXPECT_TRUE(passes["event_columns"].cached);
   EXPECT_EQ(passes["event_columns"].computes, 1u);
   EXPECT_EQ(passes["event_columns"].reuses, 2u);
-  EXPECT_EQ(passes["event_columns"].watermark, rec.trace.size());
   EXPECT_EQ(passes["critical_path"].deps,
             "rank_index, event_columns, message_dag");
   EXPECT_EQ(passes["action_graph"].deps, "rank_index, event_columns");
   EXPECT_EQ(passes["trace_graph"].deps, "rank_index, event_columns");
   EXPECT_NE(session.describe().find("analysis session"), std::string::npos);
-}
-
-TEST(SessionTest, UpdateRefreshesStaleArtifacts) {
-  constexpr int kRanks = 6;
-  const auto events = synth_events(3000, kRanks, /*seed=*/20260809);
-  const std::vector<trace::Event> prefix(events.begin(),
-                                         events.begin() + 2000);
-
-  analysis::Session session(trace::Trace(kRanks, prefix, nullptr));
-  const auto matches_before = session.match_report().matches.size();
-  const auto traffic_before = session.traffic().to_string();
-  EXPECT_EQ(session.watermark(), 2000u);
-
-  // Prefix-stable growth: artifacts must refresh, not stay stale.
-  session.update(trace::Trace(kRanks, events, nullptr));
-  EXPECT_EQ(session.watermark(), 3000u);
-  const auto matches_after = session.match_report().matches.size();
-  EXPECT_GT(matches_after, matches_before);
-  EXPECT_NE(session.traffic().to_string(), traffic_before);
-
-  // Same-size no-op tick: everything stays valid, nothing recomputes.
-  const auto* stable = &session.match_report();
-  session.update(trace::Trace(kRanks, events, nullptr));
-  EXPECT_EQ(stable, &session.match_report());
-}
-
-TEST(SessionTest, NonPrefixUpdateDropsEverything) {
-  constexpr int kRanks = 4;
-  const auto events = synth_events(500, kRanks, /*seed=*/11);
-  analysis::Session session(trace::Trace(kRanks, events, nullptr));
-  (void)session.match_report();
-  (void)session.traffic();
-
-  // A different history (not an extension): full invalidation, and the
-  // refreshed artifacts equal a from-scratch session's.
-  auto other = synth_events(500, kRanks, /*seed=*/12);
-  session.update(trace::Trace(kRanks, other, nullptr));
-  for (const auto& info : session.pass_states()) {
-    EXPECT_FALSE(info.cached) << info.name;
-  }
-  analysis::Session fresh(trace::Trace(kRanks, other, nullptr));
-  expect_sessions_identical(session, fresh);
-}
-
-// --- incremental == from-scratch -------------------------------------------
-
-TEST(SessionTest, IncrementalIdenticalToFromScratch) {
-  constexpr int kRanks = 6;
-  // 20k events cross the in-memory store's 8k-event segment size, so
-  // the delta sweep exercises partial-segment skipping.
-  const auto events = synth_events(20000, kRanks, /*seed=*/777);
-  const std::vector<trace::Event> prefix(events.begin(),
-                                         events.begin() + 12000);
-
-  analysis::Session incremental(trace::Trace(kRanks, prefix, nullptr));
-  // Materialize the full artifact chain before growing.
-  (void)incremental.match_report();
-  (void)incremental.traffic();
-  (void)incremental.comm_graph();
-  (void)incremental.races();
-  (void)incremental.causal_order();
-  (void)incremental.critical_path();
-  (void)incremental.action_graph();
-  (void)incremental.trace_graph();
-
-  incremental.update(trace::Trace(kRanks, events, nullptr));
-  analysis::Session scratch(trace::Trace(kRanks, events, nullptr));
-  expect_sessions_identical(incremental, scratch);
-
-  // A small (1%-scale) append on top — the live-recording cadence.
-  const std::vector<trace::Event> grown(events.begin(),
-                                        events.begin() + 19000);
-  analysis::Session live(trace::Trace(kRanks, grown, nullptr));
-  (void)live.match_report();
-  (void)live.traffic();
-  live.update(trace::Trace(kRanks, events, nullptr));
-  analysis::Session full(trace::Trace(kRanks, events, nullptr));
-  expect_sessions_identical(live, full);
 }
 
 // --- fused == legacy per-pass ----------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -315,17 +316,55 @@ TEST(CollectorTest, CrossChunkOrderAndRecycling) {
   EXPECT_EQ(collector.buffered_count(), 0u);
 }
 
+TEST(CollectorTest, FlushMakesRecordsReadableBeforeFinish) {
+  // Flush-on-demand (paper §2.1): after `flush()` the file holds every
+  // record appended so far, before `finish()` writes the footer — on
+  // every format, and on v3 both inside the first segment and past a
+  // full one (65,536 records), where the open segment is sealed short.
+  for (const auto format :
+       {TraceFormat::kBinary, TraceFormat::kBinaryV3, TraceFormat::kText}) {
+    for (const std::size_t n : {std::size_t{10}, std::size_t{70000}}) {
+      SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)) +
+                   ", " + std::to_string(n) + " records");
+      TempFile file;
+      auto registry = std::make_shared<ConstructRegistry>();
+      TraceCollector collector(2, registry);
+      TraceWriter writer(file.path(), 2, registry, format);
+      collector.attach_writer(&writer);
+      const auto append = [&](std::size_t i) {
+        collector.append(make_event(EventKind::kMark,
+                                    static_cast<mpi::Rank>(i % 2), i / 2 + 1,
+                                    static_cast<support::TimeNs>(i),
+                                    static_cast<support::TimeNs>(i)));
+      };
+      for (std::size_t i = 0; i < n; ++i) append(i);
+      collector.flush();
+      EXPECT_EQ(read_trace(file.path()).size(), n);
+
+      // More records after the flush, then the footer: a short block
+      // sealed by a flush is an ordinary segment of the finished file.
+      append(n);
+      collector.flush();
+      EXPECT_EQ(read_trace(file.path()).size(), n + 1);
+      writer.finish();
+      const Trace reopened = open_trace(file.path());
+      ASSERT_EQ(reopened.size(), n + 1);
+      EXPECT_EQ(reopened.event(n).t_start, static_cast<support::TimeNs>(n));
+    }
+  }
+}
+
 TEST(CollectorTest, BackgroundFlushDrainsConcurrently) {
-  // Producers append while the background thread flushes: the SPSC
-  // hand-off must lose nothing and keep per-rank order.  One producer
-  // thread per rank — appending to a rank's buffer is single-producer
-  // by contract (it is the rank's own thread during a run).
+  // Producers append while a flusher thread calls flush() in a loop:
+  // the SPSC hand-off must lose nothing and keep per-rank order.  One
+  // producer thread per rank — appending to a rank's buffer is
+  // single-producer by contract (it is the rank's own thread during a
+  // run); the producers' own threshold auto-flushes race the flusher.
   TempFile file;
   auto registry = std::make_shared<ConstructRegistry>();
   TraceCollector collector(2, registry);
   TraceWriter writer(file.path(), 2, registry);
   collector.attach_writer(&writer, /*threshold=*/256);
-  collector.start_background_flush(std::chrono::milliseconds(1));
 
   constexpr std::size_t kPerRank = 20000;
   auto produce = [&](mpi::Rank rank) {
@@ -335,11 +374,20 @@ TEST(CollectorTest, BackgroundFlushDrainsConcurrently) {
                                   static_cast<support::TimeNs>(i)));
     }
   };
+  std::atomic<bool> done{false};
+  std::thread flusher([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      collector.flush();
+      std::this_thread::yield();
+    }
+  });
   std::thread t0(produce, 0);
   std::thread t1(produce, 1);
   t0.join();
   t1.join();
-  collector.stop_background_flush();  // final drain
+  done.store(true, std::memory_order_release);
+  flusher.join();
+  collector.flush();  // final drain
   EXPECT_EQ(writer.events_written(), 2 * kPerRank);
   writer.finish();
 
@@ -352,17 +400,6 @@ TEST(CollectorTest, BackgroundFlushDrainsConcurrently) {
           << "rank " << r;
     }
   }
-}
-
-TEST(CollectorTest, BackgroundFlushStopIsIdempotent) {
-  TraceCollector collector(1);
-  collector.start_background_flush(std::chrono::milliseconds(1));
-  collector.append(make_event(EventKind::kMark, 0, 1, 0, 0));
-  collector.stop_background_flush();
-  collector.stop_background_flush();
-  // No writer attached: the records are still buffered, not lost.
-  EXPECT_EQ(collector.buffered_count(), 1u);
-  EXPECT_EQ(collector.build_trace().size(), 1u);
 }
 
 TEST(TraceIoTest, WriteEventsBatchRoundTrip) {
