@@ -114,7 +114,7 @@ echo "=== grep gate: matching/message DAG/vector clocks computed only in src/ana
 # or construct a CausalOrder directly (src/causality implements the
 # clock math the session invokes; everything else goes through
 # Session::match_report()/causal_order()/...).
-leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_message_dag|compute_traffic|compute_sweep|CausalOrder\(' \
+leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_message_dag|compute_traffic|compute_sweep|compute_comm_graph|compute_message_pools|compute_event_columns|CausalOrder\(' \
          "$repo/src" "$repo/tools" "$repo/examples" \
          --include='*.cpp' --include='*.hpp' \
        | grep -vE "^$repo/src/(analysis|causality)/" || true)"

@@ -1,9 +1,10 @@
 #include "analysis/pass.hpp"
 
 #include <algorithm>
-#include <set>
-#include <sstream>
-#include <unordered_map>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <tuple>
 
 #include "support/error.hpp"
 #include "support/executor.hpp"
@@ -11,12 +12,6 @@
 namespace tdbg::analysis {
 
 namespace {
-
-/// Matches aggregated per traffic task.  A fixed chunk size (never a
-/// function of thread count) plus a chunk-ordered merge keeps the
-/// report bit-identical at any parallelism; latency sums stay in exact
-/// integer arithmetic until the final mean division.
-constexpr std::size_t kMatchChunk = 1u << 14;
 
 /// One segment's records.  Channels live in a flat nranks² slab
 /// indexed (src * nranks + dst) — the sweep touches a channel slot
@@ -72,22 +67,28 @@ void sweep_segment(const trace::Trace& trace, std::size_t seg,
             e.marker, i);
         if (e.kind == trace::EventKind::kSend) {
           channel(e.rank, e.peer).sends.push_back(
-              SweepSend{i, e.marker, e.t_start, e.t_end, e.rank, e.peer, e.tag,
+              SweepSend{i, e.marker, e.t_start, e.rank, e.peer, e.tag,
                         e.bytes});
         } else if (e.kind == trace::EventKind::kRecv) {
           channel(e.peer, e.rank).recvs.push_back(
-              SweepRecv{i, e.channel_seq, e.t_start, e.t_end, e.rank, e.peer,
+              SweepRecv{i, e.channel_seq, e.t_end, e.rank, e.peer,
                         e.tag, e.bytes, e.wildcard});
         }
       });
+}
+
+/// Appends every element of `from` to `to`.
+template <typename To, typename From>
+void append_all(To& to, const From& from) {
+  to.insert(to.end(), from.begin(), from.end());
 }
 
 void fold_partial(SweepData& acc, SweepPartial&& part) {
   const auto append = [&acc](SweepData::ChannelKey key, SweepChannel& ch) {
     if (ch.sends.empty() && ch.recvs.empty()) return;
     auto& dst = acc.channels[key];
-    dst.sends.insert(dst.sends.end(), ch.sends.begin(), ch.sends.end());
-    dst.recvs.insert(dst.recvs.end(), ch.recvs.begin(), ch.recvs.end());
+    append_all(dst.sends, ch.sends);
+    append_all(dst.recvs, ch.recvs);
   };
   const auto nru = static_cast<std::size_t>(part.num_ranks);
   for (std::size_t src = 0; src < nru; ++src) {
@@ -99,9 +100,41 @@ void fold_partial(SweepData& acc, SweepPartial&& part) {
   }
   for (auto& [key, ch] : part.overflow) append(key, ch);
   for (std::size_t r = 0; r < part.rank_order.size(); ++r) {
-    acc.rank_order[r].insert(acc.rank_order[r].end(),
-                             part.rank_order[r].begin(),
-                             part.rank_order[r].end());
+    append_all(acc.rank_order[r], part.rank_order[r]);
+  }
+}
+
+/// The sweep's channels as a flat list in key order, so one task per
+/// channel can index them.
+std::vector<const std::pair<const SweepData::ChannelKey, SweepChannel>*>
+channel_list(const SweepData& sweep) {
+  std::vector<const std::pair<const SweepData::ChannelKey, SweepChannel>*>
+      flat;
+  flat.reserve(sweep.channels.size());
+  for (const auto& entry : sweep.channels) flat.push_back(&entry);
+  return flat;
+}
+
+/// The non-overtaking rule on one channel, shared by matching, traffic
+/// and the comm graph: the receive with channel sequence number k takes
+/// the k-th send in FIFO order; a receive whose send is missing or
+/// already taken is an orphan.  Calls `on_match(send, recv)` and
+/// `on_orphan(recv)` in receive display order, then `on_unmatched(send)`
+/// for every send left over, in FIFO order.
+template <typename OnMatch, typename OnOrphan, typename OnUnmatched>
+void pair_channel(const SweepChannel& ch, OnMatch&& on_match,
+                  OnOrphan&& on_orphan, OnUnmatched&& on_unmatched) {
+  std::vector<bool> used(ch.sends.size(), false);
+  for (const SweepRecv& rv : ch.recvs) {
+    if (rv.seq >= ch.sends.size() || used[rv.seq]) {
+      on_orphan(rv);
+      continue;
+    }
+    used[rv.seq] = true;
+    on_match(ch.sends[rv.seq], rv);
+  }
+  for (std::size_t s = 0; s < ch.sends.size(); ++s) {
+    if (!used[s]) on_unmatched(ch.sends[s]);
   }
 }
 
@@ -121,18 +154,32 @@ SweepData compute_sweep(const trace::Trace& trace) {
     fold_partial(sweep, std::move(partials[seg]));
   }
   // Per-rank program order: sort by (marker, display index), which
-  // reproduces the store's stable by-marker ordering exactly.  A
+  // reproduces the store's stable by-marker ordering exactly; and the
+  // sends of each channel the rank sends on into FIFO order, the
+  // sender's program order (marker, t_start), stable among ties.  A
   // rank's markers are monotone in display order for every trace the
   // runtime writes (one thread per rank, timestamps taken in program
-  // order), so a list collected in segment order is nearly always
-  // sorted already — check before paying for the sort that covers
-  // reordered hand-built files.  Rank lists are independent, so the
-  // tasks never conflict.
+  // order), so lists collected in segment order are nearly always
+  // sorted already — check before paying for the sorts that cover
+  // reordered hand-built files.  Each task touches only its own rank's
+  // lists, so the tasks never conflict.
+  const auto fifo = [](const SweepSend& a, const SweepSend& b) {
+    return std::tie(a.marker, a.t_start) < std::tie(b.marker, b.t_start);
+  };
   exec::Executor::global().parallel_for(
       sweep.rank_order.size(), "session.rank_index", [&](std::size_t r) {
         auto& order = sweep.rank_order[r];
         if (!std::is_sorted(order.begin(), order.end())) {
           std::sort(order.begin(), order.end());
+        }
+        const auto src = static_cast<mpi::Rank>(r);
+        for (auto it = sweep.channels.lower_bound(
+                 {src, std::numeric_limits<mpi::Rank>::min()});
+             it != sweep.channels.end() && it->first.first == src; ++it) {
+          auto& sends = it->second.sends;
+          if (!std::is_sorted(sends.begin(), sends.end(), fifo)) {
+            std::stable_sort(sends.begin(), sends.end(), fifo);
+          }
         }
       });
   sweep.num_events = trace.size();
@@ -140,45 +187,26 @@ SweepData compute_sweep(const trace::Trace& trace) {
 }
 
 trace::MatchReport compute_match_report(const SweepData& sweep) {
-  // Pairing, one task per channel.  Sends take FIFO sequence numbers
-  // in the sender's program order — (marker, t_start), all sends of a
-  // channel share one rank; receives carry their sequence numbers
-  // explicitly.  Channels are independent, so each task works on its
-  // own slot and the merge below just walks slots in key order.
-  std::vector<const std::pair<const SweepData::ChannelKey, SweepChannel>*>
-      flat;
-  flat.reserve(sweep.channels.size());
-  for (const auto& entry : sweep.channels) flat.push_back(&entry);
-
-  struct ChannelResult {
-    std::vector<trace::MessageMatch> matches;  ///< recv display order
-    std::vector<std::size_t> unmatched_sends;
-    std::vector<std::size_t> unmatched_recvs;
-  };
-  std::vector<ChannelResult> per_channel(flat.size());
+  // Pairing, one task per channel.  Channels are independent, so each
+  // task works on its own slot and the merge below just walks slots in
+  // key order.
+  const auto flat = channel_list(sweep);
+  std::vector<trace::MatchReport> per_channel(flat.size());
   exec::Executor::global().parallel_for(
       flat.size(), "session.match.pair", [&](std::size_t c) {
-        auto sends = flat[c]->second.sends;  // copy: sort locally
-        const auto& recvs = flat[c]->second.recvs;
         auto& out = per_channel[c];
-        std::stable_sort(sends.begin(), sends.end(),
-                         [](const SweepSend& a, const SweepSend& b) {
-                           if (a.marker != b.marker) return a.marker < b.marker;
-                           return a.t_start < b.t_start;
-                         });
-        std::vector<bool> used(sends.size(), false);
-        for (const SweepRecv& rv : recvs) {
-          if (rv.seq >= sends.size() || used[rv.seq]) {
-            out.unmatched_recvs.push_back(rv.index);
-            continue;
-          }
-          used[rv.seq] = true;
-          out.matches.push_back(
-              trace::MessageMatch{sends[rv.seq].index, rv.index});
-        }
-        for (std::size_t s = 0; s < sends.size(); ++s) {
-          if (!used[s]) out.unmatched_sends.push_back(sends[s].index);
-        }
+        pair_channel(
+            flat[c]->second,
+            [&](const SweepSend& send, const SweepRecv& recv) {
+              out.matches.push_back(
+                  trace::MessageMatch{send.index, recv.index});
+            },
+            [&](const SweepRecv& recv) {
+              out.unmatched_recvs.push_back(recv.index);
+            },
+            [&](const SweepSend& send) {
+              out.unmatched_sends.push_back(send.index);
+            });
       });
 
   // Canonicalize: matches and orphan receives in global recv display
@@ -186,14 +214,9 @@ trace::MatchReport compute_match_report(const SweepData& sweep) {
   // algorithm's output.
   trace::MatchReport report;
   for (const auto& cr : per_channel) {
-    report.matches.insert(report.matches.end(), cr.matches.begin(),
-                          cr.matches.end());
-    report.unmatched_sends.insert(report.unmatched_sends.end(),
-                                  cr.unmatched_sends.begin(),
-                                  cr.unmatched_sends.end());
-    report.unmatched_recvs.insert(report.unmatched_recvs.end(),
-                                  cr.unmatched_recvs.begin(),
-                                  cr.unmatched_recvs.end());
+    append_all(report.matches, cr.matches);
+    append_all(report.unmatched_sends, cr.unmatched_sends);
+    append_all(report.unmatched_recvs, cr.unmatched_recvs);
   }
   std::sort(report.matches.begin(), report.matches.end(),
             [](const trace::MessageMatch& a, const trace::MessageMatch& b) {
@@ -291,158 +314,83 @@ trace::EventColumns compute_event_columns(const trace::Trace& trace) {
   return cols;
 }
 
-namespace {
-
-struct ChannelAgg {
-  mpi::Rank src = 0;
-  mpi::Rank dst = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  support::TimeNs min_latency = 0;
-  support::TimeNs max_latency = 0;
-  std::int64_t latency_sum = 0;
-};
-
-struct RankAgg {
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t bytes_in = 0;
-};
-
-struct TrafficPartial {
-  std::map<std::pair<mpi::Rank, mpi::Rank>, ChannelAgg> channels;
-  std::vector<RankAgg> ranks;
-};
-
-/// Display-index lookup tables over the sweep's records — the fused
-/// pipeline's replacement for the per-match `trace.event()` calls.
-struct RecordsByIndex {
-  std::unordered_map<std::size_t, const SweepSend*> sends;
-  std::unordered_map<std::size_t, const SweepRecv*> recvs;
-
-  explicit RecordsByIndex(const SweepData& sweep) {
-    std::size_t ns = 0;
-    std::size_t nr = 0;
-    for (const auto& [key, ch] : sweep.channels) {
-      ns += ch.sends.size();
-      nr += ch.recvs.size();
-    }
-    sends.reserve(ns);
-    recvs.reserve(nr);
-    for (const auto& [key, ch] : sweep.channels) {
-      for (const auto& s : ch.sends) sends.emplace(s.index, &s);
-      for (const auto& r : ch.recvs) recvs.emplace(r.index, &r);
-    }
-  }
-};
-
-}  // namespace
-
-TrafficReport compute_traffic(const SweepData& sweep,
-                              const trace::MatchReport& report,
-                              int num_ranks) {
+TrafficReport compute_traffic(const SweepData& sweep, int num_ranks) {
   TrafficReport out;
-  const auto nranks = static_cast<std::size_t>(num_ranks);
-  out.ranks.resize(nranks);
+  out.ranks.resize(static_cast<std::size_t>(num_ranks));
   for (mpi::Rank r = 0; r < num_ranks; ++r) {
     out.ranks[static_cast<std::size_t>(r)].rank = r;
   }
 
-  const RecordsByIndex recs(sweep);
-
-  const std::size_t nmatches = report.matches.size();
-  const std::size_t nchunks = (nmatches + kMatchChunk - 1) / kMatchChunk;
-  std::vector<TrafficPartial> partials(nchunks);
+  // One fold per channel: a matched pair's send and receive share the
+  // channel, so every sum below stays inside one task.  Latency sums
+  // are exact integers until the final mean division, and the merge
+  // walks channels in key order, so the report is identical at any
+  // thread count.
+  struct ChannelFold {
+    std::uint64_t messages = 0;
+    std::uint64_t send_bytes = 0;
+    std::uint64_t recv_bytes = 0;
+    support::TimeNs min_latency = 0;
+    support::TimeNs max_latency = 0;
+    std::int64_t latency_sum = 0;
+    std::vector<Irregularity> irregularities;  ///< missed and orphans
+  };
+  const auto flat = channel_list(sweep);
+  std::vector<ChannelFold> folds(flat.size());
   exec::Executor::global().parallel_for(
-      nchunks, "session.traffic", [&](std::size_t c) {
-        auto& part = partials[c];
-        part.ranks.resize(nranks);
-        const std::size_t lo = c * kMatchChunk;
-        const std::size_t hi = std::min(lo + kMatchChunk, nmatches);
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& m = report.matches[k];
-          const SweepSend& send = *recs.sends.at(m.send_index);
-          const SweepRecv& recv = *recs.recvs.at(m.recv_index);
-          auto& ch = part.channels[{send.rank, send.peer}];
-          ch.src = send.rank;
-          ch.dst = send.peer;
-          const auto latency = recv.t_end - send.t_start;
-          if (ch.messages == 0) {
-            ch.min_latency = ch.max_latency = latency;
-          } else {
-            ch.min_latency = std::min(ch.min_latency, latency);
-            ch.max_latency = std::max(ch.max_latency, latency);
-          }
-          ch.latency_sum += latency;
-          ++ch.messages;
-          ch.bytes += send.bytes;
-
-          auto& s = part.ranks[static_cast<std::size_t>(send.rank)];
-          ++s.sends;
-          s.bytes_out += send.bytes;
-          auto& d = part.ranks[static_cast<std::size_t>(recv.rank)];
-          ++d.recvs;
-          d.bytes_in += recv.bytes;
-        }
+      flat.size(), "session.traffic", [&](std::size_t c) {
+        auto& f = folds[c];
+        pair_channel(
+            flat[c]->second,
+            [&](const SweepSend& send, const SweepRecv& recv) {
+              const auto latency = recv.t_end - send.t_start;
+              if (f.messages++ == 0) f.min_latency = f.max_latency = latency;
+              f.min_latency = std::min(f.min_latency, latency);
+              f.max_latency = std::max(f.max_latency, latency);
+              f.latency_sum += latency;
+              f.send_bytes += send.bytes;
+              f.recv_bytes += recv.bytes;
+            },
+            [&](const SweepRecv& e) {
+              f.irregularities.push_back(Irregularity{
+                  Irregularity::Kind::kOrphanRecv, e.rank, e.index,
+                  "orphan receive on rank " + std::to_string(e.rank) +
+                      " from " + std::to_string(e.peer) + " (no send record)"});
+            },
+            [&](const SweepSend& e) {
+              f.irregularities.push_back(Irregularity{
+                  Irregularity::Kind::kUnmatchedSend, e.rank, e.index,
+                  "missed message: send " + std::to_string(e.rank) + "->" +
+                      std::to_string(e.peer) + " tag " +
+                      std::to_string(e.tag) + " was never received"});
+            });
       });
 
-  // Merge in chunk order (all operations commutative-exact; the order
-  // only matters for picking first-writer src/dst, which every chunk
-  // sets identically).
-  std::map<std::pair<mpi::Rank, mpi::Rank>, ChannelAgg> channels;
-  for (const auto& part : partials) {
-    for (const auto& [key, agg] : part.channels) {
-      auto& ch = channels[key];
-      if (ch.messages == 0) {
-        ch = agg;
-        continue;
-      }
-      ch.min_latency = std::min(ch.min_latency, agg.min_latency);
-      ch.max_latency = std::max(ch.max_latency, agg.max_latency);
-      ch.latency_sum += agg.latency_sum;
-      ch.messages += agg.messages;
-      ch.bytes += agg.bytes;
-    }
-    for (std::size_t r = 0; r < part.ranks.size(); ++r) {
-      auto& dst = out.ranks[r];
-      dst.sends += part.ranks[r].sends;
-      dst.recvs += part.ranks[r].recvs;
-      dst.bytes_out += part.ranks[r].bytes_out;
-      dst.bytes_in += part.ranks[r].bytes_in;
-    }
-  }
-  for (const auto& [key, agg] : channels) {
-    ChannelStats ch;
-    ch.src = agg.src;
-    ch.dst = agg.dst;
-    ch.messages = agg.messages;
-    ch.bytes = agg.bytes;
-    ch.min_latency = agg.min_latency;
-    ch.max_latency = agg.max_latency;
-    ch.mean_latency = agg.messages > 0 ? static_cast<double>(agg.latency_sum) /
-                                             static_cast<double>(agg.messages)
-                                       : 0.0;
-    out.channels.push_back(ch);
+  for (std::size_t c = 0; c < flat.size(); ++c) {
+    auto& f = folds[c];
+    std::move(f.irregularities.begin(), f.irregularities.end(),
+              std::back_inserter(out.irregularities));
+    if (f.messages == 0) continue;
+    // Pairs exist only where both ends are real ranks: src is a send's
+    // rank and dst a receive's.
+    const auto [src, dst] = flat[c]->first;
+    out.channels.push_back(ChannelStats{
+        src, dst, f.messages, f.send_bytes, f.min_latency, f.max_latency,
+        static_cast<double>(f.latency_sum) / static_cast<double>(f.messages)});
+    auto& s = out.ranks[static_cast<std::size_t>(src)];
+    s.sends += f.messages;
+    s.bytes_out += f.send_bytes;
+    auto& d = out.ranks[static_cast<std::size_t>(dst)];
+    d.recvs += f.messages;
+    d.bytes_in += f.recv_bytes;
   }
 
-  // Irregularities: missed messages first.
-  for (std::size_t i : report.unmatched_sends) {
-    const SweepSend& e = *recs.sends.at(i);
-    std::ostringstream os;
-    os << "missed message: send " << e.rank << "->" << e.peer << " tag "
-       << e.tag << " was never received";
-    out.irregularities.push_back(Irregularity{
-        Irregularity::Kind::kUnmatchedSend, e.rank, i, os.str()});
-  }
-  for (std::size_t i : report.unmatched_recvs) {
-    const SweepRecv& e = *recs.recvs.at(i);
-    std::ostringstream os;
-    os << "orphan receive on rank " << e.rank << " from " << e.peer
-       << " (no send record)";
-    out.irregularities.push_back(
-        Irregularity{Irregularity::Kind::kOrphanRecv, e.rank, i, os.str()});
-  }
+  // Irregularities: missed messages first, each kind in display order
+  // (the kinds' declared order).
+  std::sort(out.irregularities.begin(), out.irregularities.end(),
+            [](const Irregularity& a, const Irregularity& b) {
+              return std::tie(a.kind, a.event) < std::tie(b.kind, b.event);
+            });
 
   // Receive-count outliers among the non-root ranks (the Fig. 6
   // observation: workers 1-6 received 2 messages, worker 7 only 1).
@@ -466,11 +414,11 @@ TrafficReport compute_traffic(const SweepData& sweep,
       for (mpi::Rank r = 1; r < num_ranks; ++r) {
         const auto& rt = out.ranks[static_cast<std::size_t>(r)];
         if (rt.recvs != modal) {
-          std::ostringstream os;
-          os << "rank " << r << " received " << rt.recvs
-             << " messages; its peers received " << modal;
           out.irregularities.push_back(Irregularity{
-              Irregularity::Kind::kRecvCountOutlier, r, 0, os.str()});
+              Irregularity::Kind::kRecvCountOutlier, r, 0,
+              "rank " + std::to_string(r) + " received " +
+                  std::to_string(rt.recvs) + " messages; its peers received " +
+                  std::to_string(modal)});
         }
       }
     }
@@ -489,7 +437,7 @@ MessagePools compute_message_pools(const SweepData& sweep) {
   pools.sends.reserve(ns);
   pools.wildcard_recvs.reserve(nw);
   for (const auto& [key, ch] : sweep.channels) {
-    pools.sends.insert(pools.sends.end(), ch.sends.begin(), ch.sends.end());
+    append_all(pools.sends, ch.sends);
     for (const auto& r : ch.recvs) {
       if (r.wildcard) pools.wildcard_recvs.push_back(r);
     }
@@ -507,79 +455,72 @@ MessagePools compute_message_pools(const SweepData& sweep) {
 graph::CommGraph compute_comm_graph(const SweepData& sweep,
                                     const trace::MatchReport& report,
                                     const trace::RankIndex& index) {
-  const RecordsByIndex recs(sweep);
-
-  // Node per matched pair, then per unmatched half.  Matched node i is
-  // simply match i, so the slots fill in parallel chunks; the chunk
-  // size is fixed so the layout never depends on thread count.
+  // Node ids: match k is node k, then the unmatched sends, then the
+  // orphan receives, each in display order.  `node_of` maps every
+  // event to its node, kNone for events that are not message
+  // endpoints.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   const std::size_t nmatches = report.matches.size();
-  std::vector<graph::MessageNode> nodes(nmatches);
-  const std::size_t chunk = trace::kInMemorySegmentEvents;
-  const std::size_t nchunks = (nmatches + chunk - 1) / chunk;
-  exec::Executor::global().parallel_for(
-      nchunks, "session.comm.nodes", [&](std::size_t c) {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(lo + chunk, nmatches);
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& m = report.matches[k];
-          const SweepSend& send = *recs.sends.at(m.send_index);
-          graph::MessageNode node;
-          node.send_event = m.send_index;
-          node.recv_event = m.recv_index;
-          node.src = send.rank;
-          node.dst = send.peer;
-          node.tag = send.tag;
-          nodes[k] = node;
-        }
-      });
-  std::unordered_map<std::size_t, std::size_t> node_of_event;
-  node_of_event.reserve(2 * nmatches + report.unmatched_sends.size() +
-                        report.unmatched_recvs.size());
+  const std::size_t nnodes = nmatches + report.unmatched_sends.size() +
+                             report.unmatched_recvs.size();
+  TDBG_CHECK(nnodes < kNone, "too many messages for the communication graph");
+  std::vector<std::uint32_t> node_of(sweep.num_events, kNone);
   for (std::size_t k = 0; k < nmatches; ++k) {
-    node_of_event[report.matches[k].send_index] = k;
-    node_of_event[report.matches[k].recv_index] = k;
+    node_of[report.matches[k].send_index] = static_cast<std::uint32_t>(k);
+    node_of[report.matches[k].recv_index] = static_cast<std::uint32_t>(k);
   }
-  for (std::size_t i : report.unmatched_sends) {
-    const SweepSend& send = *recs.sends.at(i);
-    node_of_event[i] = nodes.size();
-    nodes.push_back(graph::MessageNode{i, graph::kNoEvent, send.rank,
-                                       send.peer, send.tag});
-  }
-  for (std::size_t i : report.unmatched_recvs) {
-    const SweepRecv& recv = *recs.recvs.at(i);
-    node_of_event[i] = nodes.size();
-    nodes.push_back(graph::MessageNode{graph::kNoEvent, i, recv.peer,
-                                       recv.rank, recv.tag});
-  }
+  auto next = static_cast<std::uint32_t>(nmatches);
+  for (const std::size_t i : report.unmatched_sends) node_of[i] = next++;
+  for (const std::size_t i : report.unmatched_recvs) node_of[i] = next++;
+
+  // Nodes from the sweep records, one task per channel: a pair's send
+  // and receive share a channel, so the tasks write disjoint nodes.
+  const auto flat = channel_list(sweep);
+  std::vector<graph::MessageNode> nodes(nnodes);
+  exec::Executor::global().parallel_for(
+      flat.size(), "session.comm.nodes", [&](std::size_t c) {
+        pair_channel(
+            flat[c]->second,
+            [&](const SweepSend& send, const SweepRecv& recv) {
+              nodes[node_of[recv.index]] = graph::MessageNode{
+                  send.index, recv.index, send.rank, send.peer, send.tag};
+            },
+            [&](const SweepRecv& recv) {
+              nodes[node_of[recv.index]] = graph::MessageNode{
+                  graph::kNoEvent, recv.index, recv.peer, recv.rank, recv.tag};
+            },
+            [&](const SweepSend& send) {
+              nodes[node_of[send.index]] = graph::MessageNode{
+                  send.index, graph::kNoEvent, send.rank, send.peer, send.tag};
+            });
+      });
 
   // Arcs: per rank, consecutive message endpoints in program order
-  // connect their messages.  The shared rank index supplies program
-  // order; non-message events simply miss the node lookup.  Rank
-  // sweeps are independent and the set union below is
-  // order-insensitive, so the final sorted arc list is deterministic.
+  // connect their messages, each packed as (from, to) in one word.  One
+  // sort and unique over every rank's words gives the arcs in (from, to)
+  // order, whatever the thread count.
   const std::size_t nranks = index.seq.size();
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> rank_arcs(
-      nranks);
+  std::vector<std::vector<std::uint64_t>> rank_arcs(nranks);
   exec::Executor::global().parallel_for(
       nranks, "session.comm.arcs", [&](std::size_t ri) {
-        std::size_t prev_node = graph::kNoEvent;
+        std::uint32_t prev = kNone;
         for (const std::size_t i : index.seq[ri]) {
-          const auto it = node_of_event.find(i);
-          if (it == node_of_event.end()) continue;
-          if (prev_node != graph::kNoEvent && prev_node != it->second) {
-            rank_arcs[ri].emplace_back(prev_node, it->second);
+          const std::uint32_t node = node_of[i];
+          if (node == kNone) continue;
+          if (prev != kNone && prev != node) {
+            rank_arcs[ri].push_back(std::uint64_t{prev} << 32 | node);
           }
-          prev_node = it->second;
+          prev = node;
         }
       });
-  std::set<std::pair<std::size_t, std::size_t>> arc_set;
-  for (const auto& arcs : rank_arcs) {
-    arc_set.insert(arcs.begin(), arcs.end());
-  }
-  return graph::CommGraph(
-      std::move(nodes),
-      std::vector<std::pair<std::size_t, std::size_t>>(arc_set.begin(),
-                                                       arc_set.end()));
+  std::vector<std::uint64_t> packed;
+  for (const auto& arcs : rank_arcs) append_all(packed, arcs);
+  std::sort(packed.begin(), packed.end());
+  packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
+  std::vector<std::pair<std::size_t, std::size_t>> arcs;
+  arcs.reserve(packed.size());
+  for (const auto a : packed) arcs.emplace_back(a >> 32, a & 0xffffffffu);
+  return graph::CommGraph(std::move(nodes), std::move(arcs));
 }
 
 }  // namespace tdbg::analysis

@@ -43,7 +43,6 @@ struct SweepSend {
   std::size_t index = 0;  ///< global display index
   std::uint64_t marker = 0;
   support::TimeNs t_start = 0;
-  support::TimeNs t_end = 0;
   mpi::Rank rank = 0;  ///< source
   mpi::Rank peer = 0;  ///< destination
   mpi::Tag tag = 0;
@@ -54,7 +53,6 @@ struct SweepSend {
 struct SweepRecv {
   std::size_t index = 0;  ///< global display index
   mpi::ChannelSeq seq = 0;
-  support::TimeNs t_start = 0;
   support::TimeNs t_end = 0;
   mpi::Rank rank = 0;  ///< receiver
   mpi::Rank peer = 0;  ///< actual source
@@ -63,7 +61,10 @@ struct SweepRecv {
   bool wildcard = false;
 };
 
-/// One (source, dest) channel's records, each list in display order.
+/// One (source, dest) channel's records.  Sends are in FIFO order, the
+/// sender's program order by (marker, t_start), so the receive with
+/// channel sequence number k pairs with `sends[k]`; receives are in
+/// display order.
 struct SweepChannel {
   std::vector<SweepSend> sends;
   std::vector<SweepRecv> recvs;
@@ -117,19 +118,18 @@ trace::MessageDag compute_message_dag(const trace::MatchReport& report,
 /// never ask for the views.
 trace::EventColumns compute_event_columns(const trace::Trace& trace);
 
-/// Traffic accounting from the sweep records and the matching — no
-/// `event()` lookups.  Byte-identical to the pre-refactor
-/// `analyze_traffic` text output.
-TrafficReport compute_traffic(const SweepData& sweep,
-                              const trace::MatchReport& report, int num_ranks);
+/// Traffic accounting folded per channel from the sweep records, with
+/// the same pairing as `compute_match_report` — no `event()` lookups.
+/// Byte-identical to the pre-refactor `analyze_traffic` text output.
+TrafficReport compute_traffic(const SweepData& sweep, int num_ranks);
 
 /// The race detector's candidate pools (sorted back into display
 /// order from the per-channel lists).
 MessagePools compute_message_pools(const SweepData& sweep);
 
 /// Communication-graph construction from the sweep + matching + rank
-/// index (node layout and arc list byte-identical to the pre-refactor
-/// `CommGraph::from_trace`).
+/// index over a flat per-event node array (node layout and arc list
+/// byte-identical to the pre-refactor `CommGraph::from_trace`).
 graph::CommGraph compute_comm_graph(const SweepData& sweep,
                                     const trace::MatchReport& report,
                                     const trace::RankIndex& index);

@@ -79,7 +79,7 @@ const causality::CausalOrder& Session::causal_order() {
 
 const TrafficReport& Session::traffic() {
   return materialize(traffic_, "session.traffic", [&] {
-    return compute_traffic(sweep(), match_report(), trace_.num_ranks());
+    return compute_traffic(sweep(), trace_.num_ranks());
   });
 }
 
@@ -150,7 +150,7 @@ std::vector<PassInfo> Session::pass_states() const {
   one("sweep", "-", sweep_);
   one("match", "sweep", match_);
   one("rank_index", "sweep", rank_index_);
-  one("traffic", "sweep, match", traffic_);
+  one("traffic", "sweep", traffic_);
   one("comm_graph", "sweep, match, rank_index", comm_graph_);
   one("message_dag", "match, rank_index", dag_);
   one("event_columns", "-", columns_);

@@ -1,9 +1,8 @@
 #include "graph/action_graph.hpp"
 
-#include <sstream>
-
 #include "support/error.hpp"
 #include "support/executor.hpp"
+#include "support/strings.hpp"
 
 namespace tdbg::graph {
 
@@ -72,23 +71,24 @@ ExportGraph ActionGraph::to_export(
     const trace::ConstructRegistry& constructs) const {
   ExportGraph out;
   out.title = "action graph";
+  out.nodes.reserve(total_actions());
+  out.edges.reserve(total_actions());
   for (std::size_t r = 0; r < per_rank_.size(); ++r) {
     const auto& actions = per_rank_[r];
-    std::string prev;
+    const std::string group = "rank " + std::to_string(r);
     for (std::size_t i = 0; i < actions.size(); ++i) {
       const auto& a = actions[i];
-      std::ostringstream id;
-      id << "r" << r << "a" << i;
-      std::ostringstream label;
-      label << trace::event_kind_name(a.kind) << " ";
-      label << (a.construct == trace::kNoConstruct
-                    ? "?"
-                    : constructs.info(a.construct).name);
-      if (a.count > 1) label << " x" << a.count;
-      out.nodes.push_back(
-          ExportNode{id.str(), label.str(), "rank " + std::to_string(r)});
-      if (!prev.empty()) out.edges.push_back(ExportEdge{prev, id.str(), {}});
-      prev = id.str();
+      std::string id;
+      support::append(id, "r", r, "a", i);
+      std::string label;
+      support::append(label, trace::event_kind_name(a.kind), " ",
+                      a.construct == trace::kNoConstruct
+                          ? std::string("?")
+                          : constructs.info(a.construct).name);
+      if (a.count > 1) support::append(label, " x", a.count);
+      const std::size_t node = out.nodes.size();
+      if (i > 0) out.edges.push_back(ExportEdge{node - 1, node, {}});
+      out.nodes.push_back(ExportNode{std::move(id), std::move(label), group});
     }
   }
   return out;

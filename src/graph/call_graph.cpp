@@ -1,5 +1,6 @@
 #include "graph/call_graph.hpp"
 
+#include <map>
 #include <set>
 
 namespace tdbg::graph {
@@ -49,19 +50,20 @@ ExportGraph CallGraph::to_export(const trace::ConstructRegistry& constructs,
     return id == trace::kNoConstruct ? std::string("<root>")
                                      : constructs.info(id).name;
   };
-  std::set<std::string> seen;
+  // Constructs that share a name share a node.
+  std::map<std::string, std::size_t> node_of;
   const auto add_node = [&](trace::ConstructId id) {
     const auto label = name(id);
-    if (seen.insert(label).second) {
-      out.nodes.push_back(ExportNode{label, label, {}});
-    }
+    const auto [it, added] = node_of.emplace(label, out.nodes.size());
+    if (added) out.nodes.push_back(ExportNode{label, label, {}});
+    return it->second;
   };
   for (const auto& e : edges_) {
-    add_node(e.caller);
-    add_node(e.callee);
+    const std::size_t caller = add_node(e.caller);
+    const std::size_t callee = add_node(e.callee);
     if (calls_per_arc == 0) {
-      out.edges.push_back(ExportEdge{name(e.caller), name(e.callee),
-                                     "x" + std::to_string(e.calls)});
+      out.edges.push_back(
+          ExportEdge{caller, callee, "x" + std::to_string(e.calls)});
       continue;
     }
     // Fig. 9's "number of calls per arc" display: split the count into
@@ -69,8 +71,8 @@ ExportGraph CallGraph::to_export(const trace::ConstructRegistry& constructs,
     std::uint64_t remaining = e.calls;
     while (remaining > 0) {
       const auto chunk = std::min(remaining, calls_per_arc);
-      out.edges.push_back(ExportEdge{name(e.caller), name(e.callee),
-                                     "x" + std::to_string(chunk)});
+      out.edges.push_back(
+          ExportEdge{caller, callee, "x" + std::to_string(chunk)});
       remaining -= chunk;
     }
   }

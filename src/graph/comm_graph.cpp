@@ -1,6 +1,6 @@
 #include "graph/comm_graph.hpp"
 
-#include <sstream>
+#include "support/strings.hpp"
 
 namespace tdbg::graph {
 
@@ -27,20 +27,22 @@ std::vector<std::size_t> CommGraph::unmatched_recvs() const {
 ExportGraph CommGraph::to_export() const {
   ExportGraph out;
   out.title = "communication graph";
+  out.nodes.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto& n = nodes_[i];
-    std::ostringstream label;
-    label << "m" << i << ": " << n.src << "->" << n.dst << " tag " << n.tag;
+    std::string id;
+    support::append(id, "m", i);
+    std::string label;
+    support::append(label, id, ": ", n.src, "->", n.dst, " tag ", n.tag);
     if (!n.matched()) {
-      label << (n.send_event != kNoEvent ? " (never received)"
-                                         : " (no send record)");
+      label += n.send_event != kNoEvent ? " (never received)"
+                                        : " (no send record)";
     }
-    out.nodes.push_back(
-        ExportNode{"m" + std::to_string(i), label.str(), {}});
+    out.nodes.push_back(ExportNode{std::move(id), std::move(label), {}});
   }
+  out.edges.reserve(arcs_.size());
   for (const auto& [from, to] : arcs_) {
-    out.edges.push_back(ExportEdge{"m" + std::to_string(from),
-                                   "m" + std::to_string(to), {}});
+    out.edges.push_back(ExportEdge{from, to, {}});
   }
   return out;
 }

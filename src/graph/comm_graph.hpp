@@ -39,9 +39,9 @@ struct MessageNode {
 
 /// The communication graph of one trace.
 ///
-/// Constructed from prebuilt parts by `analysis::compute_comm_graph`
-/// (the fused-sweep pass behind `analysis::Session::comm_graph()`);
-/// the graph layer itself never scans the trace or matches messages.
+/// Constructed from prebuilt parts by the fused-sweep pass behind
+/// `analysis::Session::comm_graph()`; the graph layer itself never
+/// scans the trace or matches messages.
 class CommGraph {
  public:
   CommGraph() = default;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -20,11 +21,11 @@ struct ExportNode {
   std::string group;  ///< optional cluster (e.g. "rank 3"), may be empty
 };
 
-/// A directed edge of an exportable graph.
+/// A directed edge of an exportable graph, between two of its nodes.
 struct ExportEdge {
-  std::string from;
-  std::string to;
-  std::string label;  ///< optional edge label (e.g. call count)
+  std::size_t from = 0;  ///< index into `ExportGraph::nodes`
+  std::size_t to = 0;    ///< index into `ExportGraph::nodes`
+  std::string label;     ///< optional edge label (e.g. call count)
 };
 
 /// A displayable graph, produced by the specific graph types'

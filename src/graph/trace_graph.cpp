@@ -2,26 +2,24 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace tdbg::graph {
 
 std::string node_label(const NodeId& id,
                        const trace::ConstructRegistry& constructs) {
-  std::ostringstream os;
+  std::string out;
   if (id.kind == NodeId::Kind::kChannel) {
-    os << "ch " << id.rank << "->" << id.peer;
+    support::append(out, "ch ", id.rank, "->", id.peer);
   } else {
-    os << "r" << id.rank << ":";
-    if (id.construct == trace::kNoConstruct) {
-      os << "<main>";
-    } else {
-      os << constructs.info(id.construct).name;
-    }
+    support::append(out, "r", id.rank, ":",
+                    id.construct == trace::kNoConstruct
+                        ? std::string("<main>")
+                        : constructs.info(id.construct).name);
   }
-  return os.str();
+  return out;
 }
 
 TraceGraph::TraceGraph(int num_ranks, std::size_t merge_limit)
@@ -196,12 +194,13 @@ ExportGraph TraceGraph::to_export(
     const trace::ConstructRegistry& constructs) const {
   ExportGraph out;
   out.title = "trace graph";
-  std::set<NodeId> nodes;
+  std::map<NodeId, std::size_t> node_index;
   for (const auto& [key, group] : arcs_) {
-    nodes.insert(std::get<0>(key));
-    nodes.insert(std::get<1>(key));
+    node_index.emplace(std::get<0>(key), 0);
+    node_index.emplace(std::get<1>(key), 0);
   }
-  for (const auto& id : nodes) {
+  for (auto& [id, index] : node_index) {
+    index = out.nodes.size();
     ExportNode n;
     n.id = node_label(id, constructs);
     n.label = n.id;
@@ -213,8 +212,8 @@ ExportGraph TraceGraph::to_export(
   for (const auto& [key, group] : arcs_) {
     for (const auto& arc : group) {
       ExportEdge e;
-      e.from = node_label(arc.from, constructs);
-      e.to = node_label(arc.to, constructs);
+      e.from = node_index.at(arc.from);
+      e.to = node_index.at(arc.to);
       if (arc.count > 1) e.label = "x" + std::to_string(arc.count);
       out.edges.push_back(std::move(e));
     }

@@ -484,4 +484,14 @@ Response make_error_response(std::uint64_t id, Status status,
   return resp;
 }
 
+void cap_response(Response& response) {
+  // magic, version, status, id, reserved word, payload length, payload
+  const std::size_t body = 4 + 2 + 2 + 8 + 4 + 4 + response.payload.size();
+  if (body <= kMaxFrameBytes) return;
+  response = make_error_response(
+      response.id, Status::kError,
+      "response of " + std::to_string(body) + " bytes exceeds the " +
+          std::to_string(kMaxFrameBytes) + "-byte frame cap");
+}
+
 }  // namespace tdbg::server

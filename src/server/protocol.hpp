@@ -228,4 +228,9 @@ struct SessionStatsInfo {
 [[nodiscard]] Response make_error_response(std::uint64_t id, Status status,
                                            std::string_view message);
 
+/// Keeps `response` within one frame: when its frame body would pass
+/// `kMaxFrameBytes`, which every peer refuses together with the rest of
+/// its stream, it becomes a `kError` naming the body size and the cap.
+void cap_response(Response& response);
+
 }  // namespace tdbg::server

@@ -466,6 +466,7 @@ void Server::handle_one(PendingRequest pending) {
   } catch (const std::exception& e) {
     response = make_error_response(request.id, Status::kError, e.what());
   }
+  cap_response(response);
   if (response.status != Status::kOk) metrics_->on_error();
   respond(pending.conn, response);
 }
@@ -491,8 +492,9 @@ void Server::respond(const ConnPtr& conn, const Response& response) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       pollfd pfd{conn->fd, POLLOUT, 0};
-      ::poll(&pfd, 1, /*timeout_ms=*/1000);
-      continue;
+      // While draining, a peer that leaves no room for a second is dropped.
+      const bool room = ::poll(&pfd, 1, /*timeout_ms=*/1000) != 0;
+      if (room || !draining_.load(std::memory_order_acquire)) continue;
     }
     if (n < 0 && errno == EINTR) continue;
     conn->open.store(false, std::memory_order_release);

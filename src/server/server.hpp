@@ -37,7 +37,8 @@
 ///   - during drain, new requests get `Status::kShuttingDown` and new
 ///     connections are refused;
 ///   - `ping` is answered from the reader thread, bypassing the queue,
-///     so liveness probes stay honest under load.
+///     so liveness probes stay honest under load;
+///   - an answer too large for one frame is sent as `kError`.
 ///
 /// Shutdown ordering (graceful drain): stop accepting → reject new
 /// requests → dispatchers finish every already-admitted request (all

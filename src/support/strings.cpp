@@ -75,19 +75,29 @@ std::string human_bytes(std::size_t bytes) {
 
 std::string escape_label(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '&': out += "&amp;"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
+  append_escaped(out, s);
   return out;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  // Copies each run of plain characters in one append.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    std::string_view rep;
+    switch (s[i]) {
+      case '"': rep = "\\\""; break;
+      case '\\': rep = "\\\\"; break;
+      case '<': rep = "&lt;"; break;
+      case '>': rep = "&gt;"; break;
+      case '&': rep = "&amp;"; break;
+      case '\n': rep = "\\n"; break;
+      default: continue;
+    }
+    out.append(s, run, i - run);
+    out.append(rep);
+    run = i + 1;
+  }
+  out.append(s, run);
 }
 
 }  // namespace tdbg::support

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 /// \file strings.hpp
@@ -30,5 +32,31 @@ std::string human_bytes(std::size_t bytes);
 
 /// Escapes a string for embedding in DOT/VCG labels and SVG text.
 std::string escape_label(std::string_view s);
+
+/// Appends `escape_label(s)` to `out` without a temporary.
+void append_escaped(std::string& out, std::string_view s);
+
+/// A part for `append` that is escaped as by `escape_label`.
+struct Escaped {
+  std::string_view text;
+};
+
+/// Appends each part to `out`: integers in decimal (`std::to_chars`),
+/// `Escaped` text escaped, anything else as it is.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  const auto one = [&out](const auto& part) {
+    using T = std::decay_t<decltype(part)>;
+    if constexpr (std::is_same_v<T, Escaped>) {
+      append_escaped(out, part.text);
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>) {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, part).ptr);
+    } else {
+      out += part;
+    }
+  };
+  (one(parts), ...);
+}
 
 }  // namespace tdbg::support

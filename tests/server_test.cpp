@@ -7,7 +7,10 @@
 //   * session-cache sharing (N clients, one load) and LRU eviction,
 //   * admission control: queue-full returns `kOverloaded`, an expired
 //     deadline returns `kTimeout` — explicit statuses, never a hang,
-//   * graceful shutdown drains admitted work before closing,
+//   * graceful shutdown drains admitted work before closing, and a
+//     peer that stops reading cannot hold the drain up,
+//   * an answer too large for one frame becomes a typed error, and the
+//     stream after it stays usable,
 //   * an 8-client stress mix (also run under TSan and ASan/UBSan by
 //     `scripts/verify.sh`).
 
@@ -19,6 +22,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -179,6 +183,44 @@ TEST(ServerProtocolTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded.status, Status::kOverloaded);
   EXPECT_EQ(decoded.id, 7u);
   EXPECT_EQ(decode_text(decoded.payload), "queue full");
+}
+
+TEST(ServerProtocolTest, ResponsePastTheFrameCapBecomesTypedError) {
+  const std::size_t header =
+      encode_response(Response{}).size() - sizeof(std::uint32_t);
+  {
+    Response fits;  // a frame body of exactly the cap
+    fits.payload.resize(kMaxFrameBytes - header);
+    cap_response(fits);
+    EXPECT_EQ(fits.status, Status::kOk);
+    EXPECT_EQ(fits.payload.size(), kMaxFrameBytes - header);
+  }
+  Response big;
+  big.id = 6;
+  big.payload.resize(std::size_t{kMaxFrameBytes} + 1);
+  cap_response(big);
+  EXPECT_EQ(big.status, Status::kError);
+  EXPECT_EQ(big.id, 6u);
+  EXPECT_EQ(decode_text(big.payload),
+            "response of " + std::to_string(kMaxFrameBytes + 1 + header) +
+                " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                "-byte frame cap");
+
+  // The stream stays usable: the next frame after the error decodes.
+  Response next;
+  next.id = 7;
+  next.payload = encode_text("after");
+  FrameAssembler assembler;
+  assembler.feed(encode_response(big));
+  assembler.feed(encode_response(next));
+  const auto first = assembler.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(decode_response(*first).status, Status::kError);
+  const auto second = assembler.next();
+  ASSERT_TRUE(second.has_value());
+  const auto decoded = decode_response(*second);
+  EXPECT_EQ(decoded.id, 7u);
+  EXPECT_EQ(decode_text(decoded.payload), "after");
 }
 
 TEST(ServerProtocolTest, FrameAssemblerReassemblesByteAtATime) {
@@ -544,6 +586,45 @@ TEST(ServerTest, GracefulShutdownDrainsInFlight) {
   // The in-flight request was completed, not dropped.
   EXPECT_EQ(slow_status, Status::kOk);
   srv.wait();
+  EXPECT_TRUE(srv.finished());
+}
+
+TEST(ServerTest, DrainDropsAPeerThatStopsReading) {
+  TempDir dir("stall");
+  // ~1.2 MB of window events: far more than a socket buffer holds.
+  const auto trace_path = write_synth_trace(dir, "a.trc", 20000, 3, 5);
+
+  ServerOptions options;
+  options.unix_path = dir.file("s.sock");
+  options.dispatch_threads = 1;
+  Server srv(options);
+  srv.start();
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, options.unix_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  Request request;
+  request.op = Op::kWindow;
+  request.id = 1;
+  request.args = encode_window_args(trace_path, 0, 20000 * 10);
+  const auto frame = encode_request(request);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  // Never read the answer; let the dispatcher start writing it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  srv.shutdown();
+  auto drained = std::async(std::launch::async, [&] { srv.wait(); });
+  const bool in_time =
+      drained.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(fd);  // frees a server still blocked on the write
+  drained.wait();
+  EXPECT_TRUE(in_time) << "drain waited on a peer that stopped reading";
   EXPECT_TRUE(srv.finished());
 }
 

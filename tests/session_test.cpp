@@ -3,15 +3,18 @@
 //   * artifact memoization and the shared-reference guarantee,
 //   * fused-sweep results equal the legacy per-pass algorithms on the
 //     storm, deadlock_ring and synthetic-chain workloads at 1 and 8
-//     threads, and happens-before and the critical-path length equal
-//     independent oracles (BFS transitive closure, Kahn-order longest
-//     path).
+//     threads, and traffic, the comm graph, happens-before and the
+//     critical-path length equal independent oracles (per-match
+//     `event()` lookups, a map/set walk of each rank's store order,
+//     BFS transitive closure, Kahn-order longest path).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -237,6 +240,74 @@ std::vector<LegacyRankTotals> legacy_rank_totals(
   return totals;
 }
 
+/// The legacy per-channel statistics: per-match `trace.event()`
+/// lookups keyed by (source, dest).
+struct LegacyChannel {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  support::TimeNs min_latency = 0;
+  support::TimeNs max_latency = 0;
+  std::int64_t latency_sum = 0;
+};
+
+std::map<std::pair<mpi::Rank, mpi::Rank>, LegacyChannel> legacy_channels(
+    const trace::Trace& trace, const trace::MatchReport& report) {
+  std::map<std::pair<mpi::Rank, mpi::Rank>, LegacyChannel> channels;
+  for (const auto& m : report.matches) {
+    const auto send = trace.event(m.send_index);
+    const auto recv = trace.event(m.recv_index);
+    auto& ch = channels[{send.rank, send.peer}];
+    const auto latency = recv.t_end - send.t_start;
+    if (ch.messages == 0 || latency < ch.min_latency) ch.min_latency = latency;
+    if (ch.messages == 0 || latency > ch.max_latency) ch.max_latency = latency;
+    ch.latency_sum += latency;
+    ++ch.messages;
+    ch.bytes += send.bytes;
+  }
+  return channels;
+}
+
+/// The legacy irregularity list: missed sends, then orphan receives,
+/// each described from its own `trace.event()` record, then every
+/// non-root rank whose receive count is not the most common one.
+std::vector<analysis::Irregularity> legacy_irregularities(
+    const trace::Trace& trace, const trace::MatchReport& report,
+    const std::vector<LegacyRankTotals>& totals) {
+  using Kind = analysis::Irregularity::Kind;
+  std::vector<analysis::Irregularity> out;
+  for (const std::size_t i : report.unmatched_sends) {
+    const auto e = trace.event(i);
+    out.push_back({Kind::kUnmatchedSend, e.rank, i,
+                   "missed message: send " + std::to_string(e.rank) + "->" +
+                       std::to_string(e.peer) + " tag " +
+                       std::to_string(e.tag) + " was never received"});
+  }
+  for (const std::size_t i : report.unmatched_recvs) {
+    const auto e = trace.event(i);
+    out.push_back({Kind::kOrphanRecv, e.rank, i,
+                   "orphan receive on rank " + std::to_string(e.rank) +
+                       " from " + std::to_string(e.peer) +
+                       " (no send record)"});
+  }
+  std::map<std::uint64_t, int> freq;
+  for (std::size_t r = 1; r < totals.size(); ++r) ++freq[totals[r].recvs];
+  if (totals.size() > 2 && freq.size() > 1) {
+    const auto modal = std::max_element(
+        freq.begin(), freq.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    for (std::size_t r = 1; r < totals.size(); ++r) {
+      if (totals[r].recvs == modal->first) continue;
+      const auto rank = static_cast<mpi::Rank>(r);
+      out.push_back({Kind::kRecvCountOutlier, rank, 0,
+                     "rank " + std::to_string(r) + " received " +
+                         std::to_string(totals[r].recvs) +
+                         " messages; its peers received " +
+                         std::to_string(modal->first)});
+    }
+  }
+  return out;
+}
+
 // --- independent oracles ---------------------------------------------------
 
 /// Rank `r`'s display indices in program order, collected from the
@@ -264,6 +335,43 @@ std::vector<std::vector<std::size_t>> dag_successors(
     succ[m.send_index].push_back(m.recv_index);
   }
   return succ;
+}
+
+/// The comm graph from the legacy match report: node per match, then
+/// per unmatched send and orphan receive; arcs from a walk of each
+/// rank's store order through a map from event to node, deduplicated
+/// by a set.
+graph::CommGraph oracle_comm_graph(const trace::Trace& trace,
+                                   const trace::MatchReport& report) {
+  std::vector<graph::MessageNode> nodes;
+  std::map<std::size_t, std::size_t> node_of;
+  for (const auto& m : report.matches) {
+    const auto send = trace.event(m.send_index);
+    node_of[m.send_index] = node_of[m.recv_index] = nodes.size();
+    nodes.push_back({m.send_index, m.recv_index, send.rank, send.peer,
+                     send.tag});
+  }
+  for (const std::size_t i : report.unmatched_sends) {
+    const auto send = trace.event(i);
+    node_of[i] = nodes.size();
+    nodes.push_back({i, graph::kNoEvent, send.rank, send.peer, send.tag});
+  }
+  for (const std::size_t i : report.unmatched_recvs) {
+    const auto recv = trace.event(i);
+    node_of[i] = nodes.size();
+    nodes.push_back({graph::kNoEvent, i, recv.peer, recv.rank, recv.tag});
+  }
+  std::set<std::pair<std::size_t, std::size_t>> arcs;
+  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
+    std::optional<std::size_t> prev;
+    for (const std::size_t i : store_rank_order(trace, r)) {
+      const auto it = node_of.find(i);
+      if (it == node_of.end()) continue;
+      if (prev && *prev != it->second) arcs.emplace(*prev, it->second);
+      prev = it->second;
+    }
+  }
+  return graph::CommGraph(std::move(nodes), {arcs.begin(), arcs.end()});
 }
 
 /// Happens-before as a transitive closure: `reach[a][b]` iff a BFS from
@@ -365,7 +473,8 @@ void expect_fused_equals_legacy(const trace::Trace& trace,
 
   // Traffic: sweep-record accounting == per-match event() lookups.
   const auto& traffic = session.traffic();
-  const auto totals = legacy_rank_totals(trace, report);
+  const auto legacy = legacy_match(trace);
+  const auto totals = legacy_rank_totals(trace, legacy);
   ASSERT_EQ(traffic.ranks.size(), totals.size());
   for (std::size_t r = 0; r < totals.size(); ++r) {
     EXPECT_EQ(traffic.ranks[r].sends, totals[r].sends) << "rank " << r;
@@ -373,6 +482,44 @@ void expect_fused_equals_legacy(const trace::Trace& trace,
     EXPECT_EQ(traffic.ranks[r].bytes_out, totals[r].bytes_out) << "rank " << r;
     EXPECT_EQ(traffic.ranks[r].bytes_in, totals[r].bytes_in) << "rank " << r;
   }
+  const auto channels = legacy_channels(trace, legacy);
+  ASSERT_EQ(traffic.channels.size(), channels.size());
+  std::size_t c = 0;
+  for (const auto& [key, ch] : channels) {
+    const auto& got = traffic.channels[c++];
+    EXPECT_EQ(std::make_pair(got.src, got.dst), key);
+    EXPECT_EQ(got.messages, ch.messages) << key.first << "->" << key.second;
+    EXPECT_EQ(got.bytes, ch.bytes) << key.first << "->" << key.second;
+    EXPECT_EQ(got.min_latency, ch.min_latency);
+    EXPECT_EQ(got.max_latency, ch.max_latency);
+    EXPECT_EQ(got.mean_latency, static_cast<double>(ch.latency_sum) /
+                                    static_cast<double>(ch.messages));
+  }
+  const auto irregularities = legacy_irregularities(trace, legacy, totals);
+  ASSERT_EQ(traffic.irregularities.size(), irregularities.size());
+  for (std::size_t k = 0; k < irregularities.size(); ++k) {
+    const auto& got = traffic.irregularities[k];
+    const auto& want = irregularities[k];
+    EXPECT_EQ(got.kind, want.kind) << "at " << k;
+    EXPECT_EQ(got.rank, want.rank) << "at " << k;
+    EXPECT_EQ(got.event, want.event) << "at " << k;
+    EXPECT_EQ(got.description, want.description) << "at " << k;
+  }
+
+  // Comm graph: flat node array + per-rank arc merge == map/set walk.
+  const auto& comm = session.comm_graph();
+  const auto want_comm = oracle_comm_graph(trace, legacy);
+  ASSERT_EQ(comm.nodes().size(), want_comm.nodes().size());
+  for (std::size_t k = 0; k < comm.nodes().size(); ++k) {
+    const auto& got = comm.nodes()[k];
+    const auto& want = want_comm.nodes()[k];
+    EXPECT_EQ(got.send_event, want.send_event) << "node " << k;
+    EXPECT_EQ(got.recv_event, want.recv_event) << "node " << k;
+    EXPECT_EQ(got.src, want.src) << "node " << k;
+    EXPECT_EQ(got.dst, want.dst) << "node " << k;
+    EXPECT_EQ(got.tag, want.tag) << "node " << k;
+  }
+  EXPECT_EQ(comm.arcs(), want_comm.arcs());
 
   // Happens-before on every pair == the BFS transitive closure.
   const auto& order = session.causal_order();
